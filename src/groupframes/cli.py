@@ -12,6 +12,8 @@ a one-line JSON error object on stderr.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -32,7 +34,6 @@ from .errors import (
 )
 from .frames import (
     RNG_NAME,
-    SignMatrix,
     build_field_frame,
     build_hadamard_frame,
     build_harmonic_frame,
@@ -109,9 +110,12 @@ def _cell(v) -> str:
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    lines += [",".join(_cell(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
+    # the csv module quotes a cell only when it holds a comma (or a quote)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_cell(v) for v in row] for row in rows)
+    return out.getvalue()
 
 
 def _parse_log_base(text: str) -> float | None:
@@ -189,18 +193,15 @@ def _add_construction_flags(sub, with_infile: bool):
 
 def cmd_construct(args) -> int:
     frame = _build_from_args(args)
-    if isinstance(frame, SignMatrix):
-        with _atomic(args.out) as tmp:
-            save_sign_csv(frame, tmp)
-    else:
-        with _atomic(args.out) as tmp:
-            save_exponent_csv(frame, tmp)
+    # Hadamard constructions are written as their +-1 rows
+    save = save_sign_csv if "sylvester_rows" in frame.provenance \
+        else save_exponent_csv
+    with _atomic(args.out) as tmp:
+        save(frame, tmp)
     _write_text(args.out + ".provenance.json", _json_text(frame.provenance))
     if args.exponent_out:
-        ef = frame.as_exponent_frame() if isinstance(frame, SignMatrix) \
-            else frame
         with _atomic(args.exponent_out) as tmp:
-            save_exponent_csv(ef, tmp)
+            save_exponent_csv(frame, tmp)
     if args.complex_out:
         cf = materialize(frame, normalize=not args.no_normalize)
         with _atomic(args.complex_out) as tmp:
@@ -217,7 +218,8 @@ def _histogram_csv(mag_entries: list[dict], bins: int) -> str:
     if bins < 1:
         raise UsageError(f"--bins must be >= 1, got {bins}")
     vals = np.array([e["value"] for e in mag_entries], dtype=np.float64)
-    cnts = np.array([e["count"] for e in mag_entries], dtype=np.int64)
+    # counts can exceed int64 (SL2 at the largest q); keep them exact
+    cnts = np.array([e["count"] for e in mag_entries], dtype=object)
     hi = float(vals.max()) if len(vals) else 0.0
     if hi <= 0.0:
         hi = 1.0
@@ -258,61 +260,40 @@ def _gaussian_mu(dim: int, n: int, seed: int) -> float:
     return float(np.max(np.abs(gram[off])))
 
 
-def _compare_row_hadamard(r: int, m: int, seeds, bernoulli: bool) -> dict:
-    group = analyze(build_hadamard_frame(r, m), brute="off")
-    per_seed = [
-        analyze(build_random_hadamard_frame(r, m, s, bernoulli=bernoulli),
-                brute="off").mu
-        for s in seeds]
+def _compare_row(label: str, group: dict, bound_kind: str,
+                 per_seed: list) -> dict:
+    # group is a frame or SL2 report dict, per_seed the baseline mus
     return {
-        "label": f"({group.n}, {m})",
-        "n": group.n,
-        "m_dim": group.m_dim,
-        "group_mu": group.mu,
-        "welch": group.welch,
-        "bound": group.bound_general,
-        "bound_kind": "bound_general",
+        "label": label,
+        "n": group["n"],
+        "m_dim": group["m_dim"],
+        "group_mu": group["mu"],
+        "welch": group["welch"],
+        "bound": group[bound_kind],
+        "bound_kind": bound_kind,
         "random_mu": per_seed,
         "random_median": statistics.median(per_seed),
-        "flags": group.property_flags,
+        "flags": group["property_flags"],
     }
 
 
-def _compare_row_field(p: int, r: int, m: int, seeds, bernoulli: bool) -> dict:
-    group = analyze(build_field_frame(p, r, m), brute="off")
+def _field_row(label: str, build, build_random, params: tuple, seeds,
+               bernoulli: bool) -> dict:
+    # build(*params) is the group frame, build_random(*params, seed) a
+    # baseline with the same shape
+    group = analyze(build(*params), brute="off").to_dict()
     per_seed = [
-        analyze(build_random_exponent_frame(p, r, m, s, bernoulli=bernoulli),
+        analyze(build_random(*params, s, bernoulli=bernoulli),
                 brute="off").mu
         for s in seeds]
-    return {
-        "label": f"{p}^{r}",
-        "n": group.n,
-        "m_dim": group.m_dim,
-        "group_mu": group.mu,
-        "welch": group.welch,
-        "bound": group.bound_general,
-        "bound_kind": "bound_general",
-        "random_mu": per_seed,
-        "random_median": statistics.median(per_seed),
-        "flags": group.property_flags,
-    }
+    return _compare_row(label, group, "bound_general", per_seed)
 
 
-def _compare_row_sl2(q: int, m: int, seeds) -> dict:
+def _sl2_row(q: int, m: int, seeds) -> dict:
     rep = sl2_report(q, m, "induced")
     per_seed = [_gaussian_mu(rep["m_dim"], rep["n"], s) for s in seeds]
-    return {
-        "label": f"{rep['m_dim']} x {rep['n']}",
-        "n": rep["n"],
-        "m_dim": rep["m_dim"],
-        "group_mu": rep["mu"],
-        "welch": rep["welch"],
-        "bound": rep["sl2_bound"],
-        "bound_kind": "sl2_bound",
-        "random_mu": per_seed,
-        "random_median": statistics.median(per_seed),
-        "flags": rep["property_flags"],
-    }
+    return _compare_row(f"{rep['m_dim']} x {rep['n']}", rep, "sl2_bound",
+                        per_seed)
 
 
 def cmd_compare(args) -> int:
@@ -322,15 +303,19 @@ def cmd_compare(args) -> int:
     if len(set(seeds)) != len(seeds):
         raise UsageError("seeds must be distinct")
     if args.table == "I":
-        rows = [_compare_row_hadamard(r, m, seeds, args.bernoulli)
+        rows = [_field_row(f"({2 ** r}, {m})", build_hadamard_frame,
+                           build_random_hadamard_frame, (r, m), seeds,
+                           args.bernoulli)
                 for r, m in TABLE_I]
         baseline = "random-hadamard-rows"
     elif args.table == "II":
-        rows = [_compare_row_field(p, r, m, seeds, args.bernoulli)
+        rows = [_field_row(f"{p}^{r}", build_field_frame,
+                           build_random_exponent_frame, (p, r, m), seeds,
+                           args.bernoulli)
                 for p, r, m in TABLE_II]
         baseline = "random-multipliers"
     else:
-        rows = [_compare_row_sl2(q, m, seeds) for q, m in TABLE_IV]
+        rows = [_sl2_row(q, m, seeds) for q, m in TABLE_IV]
         baseline = "gaussian-column-normalized"
     report = {
         "schema_version": 1,
@@ -344,16 +329,11 @@ def cmd_compare(args) -> int:
     }
     if args.out_json:
         _write_text(args.out_json, _json_text(report))
-    header = (["label", "n", "m_dim", "group_mu", "welch", "bound",
+    columns = ["label", "n", "m_dim", "group_mu", "welch", "bound",
                "random_median"]
-              + [f"random_seed_{s}" for s in seeds])
-    csv_rows = []
-    for row in rows:
-        csv_rows.append([row["label"], row["n"], row["m_dim"],
-                         row["group_mu"], row["welch"], row["bound"],
-                         row["random_median"]] + row["random_mu"])
-    text = _csv_text(header, csv_rows)
-    _write_text(args.out_csv, text)
+    csv_rows = [[row[k] for k in columns] + row["random_mu"] for row in rows]
+    _write_text(args.out_csv, _csv_text(
+        columns + [f"random_seed_{s}" for s in seeds], csv_rows))
     return 0
 
 
@@ -362,15 +342,8 @@ def cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _divisors(x: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= x:
-        if x % d == 0:
-            out.append(d)
-            if d != x // d:
-                out.append(x // d)
-        d += 1
-    return sorted(out)
+    small = [d for d in range(1, math.isqrt(x) + 1) if x % d == 0]
+    return small + [x // d for d in reversed(small) if d * d != x]
 
 
 def _bound_row(n: int, m: int, kappa: int, m_requested: int | None,
@@ -393,6 +366,8 @@ def cmd_bounds(args) -> int:
     if args.n_min < 2 or args.n_max < args.n_min:
         raise UsageError(f"need 2 <= n_min <= n_max, got "
                          f"[{args.n_min}, {args.n_max}]")
+    if args.step < 1:
+        raise UsageError(f"--step must be >= 1, got {args.step}")
     rows = []
     if args.kappa is not None:
         if args.kappa < 1:
@@ -432,9 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
     con = sub.add_parser("construct", help="build a frame and write it out")
     _add_construction_flags(con, with_infile=False)
     con.add_argument("--out", required=True,
-                     help="matrix CSV path (sign rows for p=2, exponent "
-                          "rows otherwise); provenance JSON written "
-                          "alongside")
+                     help="matrix CSV path (sign rows for Hadamard rows, "
+                          "i.e. --field 2 R, exponent rows otherwise); "
+                          "provenance JSON written alongside")
     con.add_argument("--exponent-out", default=None,
                      help="also write the reloadable exponent CSV")
     con.add_argument("--complex-out", default=None,

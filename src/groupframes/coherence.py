@@ -3,10 +3,12 @@
 For frames whose columns run over a whole field and whose rows are
 multiplier characters x -> w**Tr(ax), every Gram entry depends only on the
 column difference z = x_j - x_i, so the full inner-product census reduces
-to the n-1 sums c_z = (1/m) sum_a w**Tr(az).  When the multipliers form a
-subgroup A, c is constant on the kappa cosets of A and the census costs
-O(n) total.  The brute-force Gram path is kept as an independent oracle
-and cross-checked against the exact path whenever both run.
+to the n-1 sums c_z = (1/m) sum_a w**Tr(az).  Indexed by discrete log,
+these sums are one cyclic correlation, computed by FFT for any multiplier
+list.  When the multipliers form a subgroup A, c is constant on the kappa
+cosets of A, so the first kappa sums are the whole census.  The
+brute-force Gram path is kept as an independent oracle and cross-checked
+against the exact path whenever both run.
 """
 
 from __future__ import annotations
@@ -26,21 +28,14 @@ from .frames import (
     COMPLEX_CELL_CAP,
     ComplexFrame,
     ExponentFrame,
-    SignMatrix,
     materialize,
+    roots_of_unity,
 )
 from .gf import FieldCtx
 from .subgroups import SubgroupSpec
 
 BRUTE_CAP = 4096
 CLUSTER_TOL = 1e-9
-
-
-def roots_of_unity(p: int) -> np.ndarray:
-    """The p complex p-th roots of unity; exact +-1 for p = 2."""
-    if p == 2:
-        return np.array([1.0 + 0.0j, -1.0 + 0.0j])
-    return np.exp(2j * np.pi * np.arange(p) / p)
 
 
 # ---------------------------------------------------------------------------
@@ -157,45 +152,43 @@ class CosetSums:
 
 
 def coset_sums(spec: SubgroupSpec) -> CosetSums:
-    """All kappa coset sums of the subgroup, by residue histogramming."""
-    ctx, m, kappa = spec.ctx, spec.m, spec.kappa
-    p, order = ctx.p, ctx.n - 1
-    roots = roots_of_unity(p)
-    counts = np.zeros((kappa, p), dtype=np.int64)
-    block = max(1, (2 ** 22) // max(m, 1))
-    for d0 in range(0, kappa, block):
-        db = np.arange(d0, min(d0 + block, kappa), dtype=np.int64)
-        idx = (spec.element_logs[None, :] + db[:, None]) % order
-        tr = ctx.trace_of_exp[idx]
-        flat = tr + (np.arange(len(db), dtype=np.int64) * p)[:, None]
-        counts[d0:d0 + len(db)] += np.bincount(
-            flat.ravel(), minlength=len(db) * p).reshape(len(db), p)
-    values = counts @ roots / m
-    return CosetSums(m=m, kappa=kappa, p=p, r=ctx.r, values=values)
+    """All kappa coset sums of the subgroup: the multiplier sums at log z
+    = 0 .. kappa-1, one per coset."""
+    values = multiplier_sums(spec.ctx, spec.element_values)[:spec.kappa]
+    return CosetSums(m=spec.m, kappa=spec.kappa, p=spec.ctx.p, r=spec.ctx.r,
+                     values=values)
 
 
 def coherence_fast(spec: SubgroupSpec) -> float:
-    """Frame coherence as the largest coset-sum modulus; O(n) exact path."""
+    """Frame coherence as the largest coset-sum modulus (exact path)."""
     return float(np.max(np.abs(coset_sums(spec).values)))
 
 
 def multiplier_sums(ctx: FieldCtx, multiplier_values) -> np.ndarray:
     """c_z = (1/m) sum_a w**Tr(az) for every z != 0, indexed by log z.
 
-    Works for any multiplier list (zero allowed), which covers the random
-    baselines; O(n) per multiplier.
+    Works for any multiplier list (zero allowed, repeats counted), which
+    covers the random baselines.  With k_a = log a, the sum at log z = l
+    is sum_a phase[k_a + l], a cyclic correlation of the multiplier-log
+    indicator with phase = w**trace_of_exp, so one FFT round computes all
+    n-1 sums in O(n log n) time and O(n) memory; each zero multiplier adds
+    w**0 = 1 everywhere.  For p = 2 the sums are integers before the
+    division by m, and rounding makes them exact.
     """
     mv = np.asarray(multiplier_values, dtype=np.int64)
     order = ctx.n - 1
-    roots = roots_of_unity(ctx.p)
-    phases = roots[ctx.trace_of_exp]
-    total = np.zeros(order, dtype=np.complex128)
-    for v in mv:
-        if v == 0:
-            total += 1.0
-        else:
-            total += np.roll(phases, -int(ctx.log_of_value[v]))
-    return total / len(mv)
+    nonzero = mv[mv != 0]
+    indicator = np.bincount(ctx.log_of_value[nonzero], minlength=order)
+    phases = roots_of_unity(ctx.p)[ctx.trace_of_exp]
+    if ctx.p == 2:
+        total = np.rint(np.fft.irfft(
+            np.conj(np.fft.rfft(indicator)) * np.fft.rfft(phases.real),
+            order))
+    else:
+        total = np.fft.ifft(np.conj(np.fft.fft(indicator))
+                            * np.fft.fft(phases))
+    total = total + (len(mv) - len(nonzero))
+    return total.astype(np.complex128) / len(mv)
 
 
 def inner_product_exact(frame: ExponentFrame, i: int, j: int) -> complex:
@@ -212,9 +205,8 @@ def w_vector_check(cs: CosetSums) -> dict:
     """Fourier transform of the coset-sum vector and its deviation from
     the predicted shape: first entry -1/m, all others of modulus beta."""
     kappa, m = cs.kappa, cs.m
-    gamma = np.exp(2j * np.pi * np.arange(kappa) / kappa)
-    F = gamma[np.outer(np.arange(kappa), np.arange(kappa)) % kappa]
-    w = F @ cs.values
+    # w_j = sum_d exp(2 pi i j d / kappa) c_d, an inverse DFT
+    w = kappa * np.fft.ifft(cs.values)
     beta = _beta(m, kappa)
     dev0 = abs(w[0] + 1.0 / m)
     dev_rest = float(np.max(np.abs(np.abs(w[1:]) - beta))) if kappa > 1 else 0.0
@@ -236,26 +228,53 @@ def _require_normalized(cf: ComplexFrame):
         raise NotNormalized("operation requires unit-norm columns")
 
 
-def cluster_complex(values, weights=None, tol: float = CLUSTER_TOL):
-    """Group complex values that agree to within the tol grid.
+def _split_gaps(labels: np.ndarray, x: np.ndarray, tol: float) -> np.ndarray:
+    # relabel so that each group is cut wherever its values, sorted, leave
+    # a gap wider than tol
+    order = np.lexsort((x, labels))
+    cut = np.ones(len(x), dtype=bool)
+    cut[1:] = (np.diff(labels[order]) != 0) | (np.diff(x[order]) > tol)
+    out = np.empty_like(labels)
+    out[order] = np.cumsum(cut) - 1
+    return out
 
-    Returns (representatives, counts) sorted by (re, im) of the grid
-    point.  The representative of a cluster is the weighted mean of its
-    members, not the grid point, so downstream statistics keep full
-    precision.  Weights default to 1 per value.
+
+def cluster_complex(values, weights=None, tol: float = CLUSTER_TOL):
+    """Group complex values joined by chains of neighbours within tol.
+
+    Values are sorted and cut at every gap wider than tol, in the real and
+    the imaginary part in turn, until no cut is left to make; two values
+    closer than tol in both parts always share a cluster, wherever they
+    sit.  Returns (representatives, counts) sorted by (re, im) of the tol
+    grid point nearest the representative.  The representative of a
+    cluster is the weighted mean of its members, so downstream statistics
+    keep full precision.  Weights default to 1 per value; given weights
+    are summed as Python ints, so counts past int64 stay exact.
     """
     vals = np.asarray(values, dtype=np.complex128).ravel()
-    kr = np.round(vals.real / tol).astype(np.int64)
-    ki = np.round(vals.imag / tol).astype(np.int64)
-    keys = kr.astype(np.complex128) + 1j * ki.astype(np.complex128)
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    w = (np.ones(len(vals), dtype=np.int64) if weights is None
-         else np.asarray(weights, dtype=np.int64))
-    counts = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(counts, inverse, w)
-    sums = np.zeros(len(uniq), dtype=np.complex128)
-    np.add.at(sums, inverse, vals * w)
-    return sums / counts, counts
+    parts = (vals.real, vals.imag)
+    labels = _split_gaps(np.zeros(len(vals), dtype=np.int64), parts[0], tol)
+    groups, axis = int(labels.max(initial=-1)) + 1, 1
+    # a split that cuts nothing leaves groups already split on both parts
+    while True:
+        labels = _split_gaps(labels, parts[axis], tol)
+        found = int(labels.max(initial=-1)) + 1
+        if found == groups:
+            break
+        groups, axis = found, 1 - axis
+    if weights is None:
+        w = np.ones(len(vals))
+        counts = np.bincount(labels, minlength=groups)
+    else:
+        ints = [int(x) for x in weights]
+        w = np.array(ints, dtype=np.float64)
+        counts = np.zeros(groups, dtype=object)
+        np.add.at(counts, labels, ints)
+    sums = (np.bincount(labels, vals.real * w, minlength=groups)
+            + 1j * np.bincount(labels, vals.imag * w, minlength=groups))
+    reps = sums / counts.astype(np.float64)
+    order = np.lexsort((np.round(reps.imag / tol), np.round(reps.real / tol)))
+    return reps[order], counts[order]
 
 
 def coherence_bruteforce(cf: ComplexFrame,
@@ -365,15 +384,15 @@ class CoherenceReport:
 
 
 def _magnitude_census(distinct_values, tol=CLUSTER_TOL):
+    # the census magnitudes, clustered like the values and reported at the
+    # tol grid point nearest each cluster's mean
     if not distinct_values:
         return []
-    mags = np.abs(np.array([v for v, _ in distinct_values]))
-    keys = np.round(mags / tol).astype(np.int64)
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    counts = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(counts, inverse,
-              np.array([c for _, c in distinct_values], dtype=np.int64))
-    return list(zip((uniq * tol).tolist(), counts.tolist()))
+    mags, counts = cluster_complex(
+        np.abs(np.array([v for v, _ in distinct_values])),
+        weights=[c for _, c in distinct_values], tol=tol)
+    return list(zip((np.round(mags.real / tol) * tol).tolist(),
+                    counts.tolist()))
 
 
 def _census_mean_sq(distinct_values, n: int) -> float:
@@ -383,36 +402,21 @@ def _census_mean_sq(distinct_values, n: int) -> float:
 
 def analyze(frame, brute: str = "auto", log_base: float | None = None,
             cluster_tol: float = CLUSTER_TOL) -> CoherenceReport:
-    """Analyze an exponent frame, sign matrix, or materialized frame.
+    """Analyze an exponent frame or a materialized frame.
 
     brute controls the O(n^2 m) Gram oracle: "on" forces it (error above
     the 4096-column cap), "auto" runs it up to the cap, "off" skips it.
     The exact character-sum path runs whenever the frame carries its
-    multiplier structure; nu and the tightness residual additionally use
-    the materialized matrix (cheap) whenever it fits in memory.  When two
-    paths produce the same quantity their gap is recorded under paths.
+    multiplier structure, and then gives the census; a subgroup only sets
+    the census period kappa.  nu and the tightness residual additionally
+    use the materialized matrix (cheap) whenever it fits in memory.  When
+    two paths produce the same quantity their gap is recorded under paths.
     """
     if brute not in ("on", "off", "auto"):
         raise BadShape(f"brute must be on/off/auto, got {brute!r}")
-
-    if isinstance(frame, SignMatrix):
-        struct = frame.as_exponent_frame()
-        source = frame
-    elif isinstance(frame, ExponentFrame):
-        struct = frame
-        source = frame
-    elif isinstance(frame, ComplexFrame):
-        struct = None
-        source = frame
-    else:
+    if not isinstance(frame, (ExponentFrame, ComplexFrame)):
         raise BadShape(f"cannot analyze {type(frame).__name__}")
-
-    if struct is not None:
-        m_rows, n_cols = struct.exps.shape
-        provenance = dict(struct.provenance)
-    else:
-        m_rows, n_cols = source.entries.shape
-        provenance = dict(source.provenance)
+    m_rows, n_cols = frame.m_rows, frame.n_cols
     if n_cols < 2:
         raise BadShape("need at least two columns to measure coherence")
 
@@ -421,33 +425,32 @@ def analyze(frame, brute: str = "auto", log_base: float | None = None,
     census = []
     kappa = None
 
-    if struct is not None and struct.ctx is not None and struct.full_columns:
-        if struct.subgroup is not None:
-            sub = struct.subgroup
-            cs = coset_sums(sub)
-            kappa = sub.kappa
-            fast_mu = float(np.max(np.abs(cs.values)))
-            fast_nu = float(abs(cs.values.sum() * sub.m) / (n_cols - 1))
-            reps, counts = cluster_complex(cs.values, tol=cluster_tol)
-            census = list(zip(reps.tolist(),
-                              (counts * n_cols * sub.m).tolist()))
+    if isinstance(frame, ExponentFrame) and frame.ctx is not None \
+            and frame.full_columns and frame.multiplier_values is not None:
+        # c at log z is periodic with period kappa for a subgroup, so its
+        # first period, each value taken by n(n-1)/period ordered pairs,
+        # is the census
+        period = n_cols - 1
+        paths["census_source"] = "multiplier-sums"
+        if frame.subgroup is not None:
+            kappa = period = frame.subgroup.kappa
             paths["census_source"] = "coset-sums"
-        elif struct.multiplier_values is not None:
-            sums = multiplier_sums(struct.ctx, struct.multiplier_values)
-            fast_mu = float(np.max(np.abs(sums)))
-            fast_nu = float(abs(sums.sum()) / (n_cols - 1))
-            reps, counts = cluster_complex(sums, tol=cluster_tol)
-            census = list(zip(reps.tolist(), (counts * n_cols).tolist()))
-            paths["census_source"] = "multiplier-sums"
-        if fast_mu is not None:
-            paths["mu_fast"] = fast_mu
-            paths["nu_fast"] = fast_nu
+        values = multiplier_sums(frame.ctx, frame.multiplier_values)[:period]
+        fast_mu = float(np.max(np.abs(values)))
+        fast_nu = float(abs(values.sum() * ((n_cols - 1) // period))
+                        / (n_cols - 1))
+        reps, counts = cluster_complex(values, tol=cluster_tol)
+        census = list(zip(reps.tolist(),
+                          (counts * (n_cols * (n_cols - 1) // period))
+                          .tolist()))
+        paths["mu_fast"] = fast_mu
+        paths["nu_fast"] = fast_nu
 
     cf = None
-    if isinstance(source, ComplexFrame):
-        cf = source
+    if isinstance(frame, ComplexFrame):
+        cf = frame
     elif m_rows * n_cols <= COMPLEX_CELL_CAP:
-        cf = materialize(source, normalize=True)
+        cf = materialize(frame, normalize=True)
 
     tightness = None
     exact_nu = None
@@ -468,7 +471,8 @@ def analyze(frame, brute: str = "auto", log_base: float | None = None,
     if run_brute:
         if cf is None:
             raise ResourceCap("frame too large to materialize for brute force")
-        bf = coherence_bruteforce(cf, cluster_tol=cluster_tol)
+        bf = coherence_bruteforce(cf, cluster_tol=cluster_tol,
+                                  census=fast_mu is None)
         brute_mu = bf["mu"]
         mean_sq = bf["gram_offdiag_mean_sq"]
         paths["mu_bruteforce"] = brute_mu
@@ -511,7 +515,7 @@ def analyze(frame, brute: str = "auto", log_base: float | None = None,
         distinct_magnitudes=magnitudes,
         gram_offdiag_mean_sq=mean_sq,
         property_flags=flags,
-        provenance=provenance,
+        provenance=dict(frame.provenance),
         kappa=kappa,
         random_fourier=random_fourier_bound(n_cols, m_rows),
         random_fourier_window_ok=random_fourier_window(n_cols, m_rows),

@@ -6,8 +6,9 @@ and whose rows are the characters x -> w**Tr(ax) for a chosen list of
 multipliers a, with w the primitive p-th root of unity.  Choosing the
 multipliers to be the order-m subgroup of the unit group gives the group
 frames; choosing them at random gives the seeded baselines.  Entries are
-stored as exponents of w (or as signs when p = 2) and materialized to
-complex on demand.
+stored as exponents of w, whatever the construction, and materialized to
+complex on demand; the +-1 rows of a Hadamard construction (p = 2) are
+w**exps = 1 - 2 exps, formed only when a sign CSV is written.
 """
 
 from __future__ import annotations
@@ -55,34 +56,6 @@ class ExponentFrame:
 
 
 @dataclass
-class SignMatrix:
-    """p = 2 frame stored as +-1 entries; rows are Hadamard matrix rows."""
-
-    entries: np.ndarray = field(repr=False)
-    provenance: dict
-    ctx: FieldCtx | None = None
-    subgroup: SubgroupSpec | None = None
-    multiplier_values: np.ndarray | None = field(default=None, repr=False)
-    full_columns: bool = False
-    sylvester_rows: list[int] | None = None
-
-    @property
-    def m_rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.entries.shape[1]
-
-    def as_exponent_frame(self) -> ExponentFrame:
-        exps = ((1 - self.entries.astype(np.int64)) // 2).astype(np.uint8)
-        return ExponentFrame(
-            p=2, exps=exps, provenance=dict(self.provenance), ctx=self.ctx,
-            subgroup=self.subgroup, multiplier_values=self.multiplier_values,
-            full_columns=self.full_columns)
-
-
-@dataclass
 class ComplexFrame:
     """Materialized frame; columns have unit norm when normalized."""
 
@@ -97,6 +70,13 @@ class ComplexFrame:
     @property
     def n_cols(self) -> int:
         return self.entries.shape[1]
+
+
+def roots_of_unity(p: int) -> np.ndarray:
+    """The p complex p-th roots of unity; exact +-1 for p = 2."""
+    if p == 2:
+        return np.array([1.0 + 0.0j, -1.0 + 0.0j])
+    return np.exp(2j * np.pi * np.arange(p) / p)
 
 
 def _check_cells(m: int, n: int, cap: int):
@@ -171,34 +151,30 @@ def build_harmonic_frame(n: int, m: int) -> ExponentFrame:
 def _sylvester_row_labels(ctx: FieldCtx, multiplier_values) -> list[int]:
     # row for multiplier a equals the Sylvester-Hadamard row whose index
     # has bit j equal to Tr(a t**j), matching the column relabeling
-    # x -> sum x_j 2**j
-    order = ctx.n - 1
-    mono_logs = np.array([ctx.log_of_value[2 ** j] for j in range(ctx.r)],
-                         dtype=np.int64)
-    labels = []
-    for v in np.asarray(multiplier_values, dtype=np.int64):
-        if v == 0:
-            labels.append(0)
-            continue
-        la = int(ctx.log_of_value[v])
-        bits = ctx.trace_of_exp[(la + mono_logs) % order]
-        labels.append(int(np.sum(bits.astype(np.int64) << np.arange(ctx.r))))
-    return labels
+    # x -> sum x_j 2**j; the zero multiplier is row 0
+    mv = np.asarray(multiplier_values, dtype=np.int64)
+    mono_logs = ctx.log_of_value[2 ** np.arange(ctx.r)]
+    logs = ctx.log_of_value[mv][:, None] + mono_logs[None, :]
+    bits = ctx.trace_of_exp[logs % (ctx.n - 1)].astype(np.int64)
+    labels = bits @ (1 << np.arange(ctx.r, dtype=np.int64))
+    return np.where(mv == 0, 0, labels).tolist()
+
+
+def _with_sylvester_rows(ef: ExponentFrame,
+                         construction: str) -> ExponentFrame:
+    ef.provenance.update({
+        "construction": construction,
+        "sylvester_rows": _sylvester_row_labels(ef.ctx, ef.multiplier_values),
+    })
+    return ef
 
 
 def build_hadamard_frame(r: int, m: int,
-                         ctx: FieldCtx | None = None) -> SignMatrix:
+                         ctx: FieldCtx | None = None) -> ExponentFrame:
     """Rows of the 2**r Sylvester-Hadamard matrix picked by the order-m
-    subgroup of GF(2**r)*."""
-    ef = build_field_frame(2, r, m, ctx=ctx)
-    entries = (1 - 2 * ef.exps.astype(np.int64)).astype(np.int8)
-    labels = _sylvester_row_labels(ef.ctx, ef.multiplier_values)
-    prov = dict(ef.provenance)
-    prov.update({"construction": "hadamard-rows", "sylvester_rows": labels})
-    return SignMatrix(entries=entries, provenance=prov, ctx=ef.ctx,
-                      subgroup=ef.subgroup,
-                      multiplier_values=ef.multiplier_values,
-                      full_columns=True, sylvester_rows=labels)
+    subgroup of GF(2**r)*; the Sylvester row labels are in provenance."""
+    return _with_sylvester_rows(build_field_frame(2, r, m, ctx=ctx),
+                                "hadamard-rows")
 
 
 def _draw_multipliers(n: int, m: int, seed: int, bernoulli: bool):
@@ -244,35 +220,21 @@ def build_random_exponent_frame(p: int, r: int, m: int, seed: int,
 
 def build_random_hadamard_frame(r: int, m: int, seed: int,
                                 ctx: FieldCtx | None = None,
-                                bernoulli: bool = False) -> SignMatrix:
+                                bernoulli: bool = False) -> ExponentFrame:
     """Seeded baseline: random rows of the 2**r Sylvester-Hadamard matrix."""
-    ef = build_random_exponent_frame(2, r, m, seed, ctx=ctx,
-                                     bernoulli=bernoulli)
-    entries = (1 - 2 * ef.exps.astype(np.int64)).astype(np.int8)
-    labels = _sylvester_row_labels(ef.ctx, ef.multiplier_values)
-    prov = dict(ef.provenance)
-    prov.update({"construction": "random-hadamard-rows",
-                 "sylvester_rows": labels})
-    return SignMatrix(entries=entries, provenance=prov, ctx=ef.ctx,
-                      multiplier_values=ef.multiplier_values,
-                      full_columns=True, sylvester_rows=labels)
+    return _with_sylvester_rows(
+        build_random_exponent_frame(2, r, m, seed, ctx=ctx,
+                                    bernoulli=bernoulli),
+        "random-hadamard-rows")
 
 
-def materialize(frame, normalize: bool = True) -> ComplexFrame:
-    """Turn an exponent frame or sign matrix into complex entries,
-    scaling columns to unit norm when normalize is set."""
-    if isinstance(frame, SignMatrix):
-        _check_cells(frame.m_rows, frame.n_cols, COMPLEX_CELL_CAP)
-        entries = frame.entries.astype(np.complex128)
-    elif isinstance(frame, ExponentFrame):
-        _check_cells(frame.m_rows, frame.n_cols, COMPLEX_CELL_CAP)
-        if frame.p == 2:
-            entries = (1.0 - 2.0 * frame.exps.astype(np.float64)) + 0.0j
-        else:
-            roots = np.exp(2j * np.pi * np.arange(frame.p) / frame.p)
-            entries = roots[frame.exps.astype(np.int64)]
-    else:
+def materialize(frame: ExponentFrame, normalize: bool = True) -> ComplexFrame:
+    """Turn an exponent frame into complex entries, scaling columns to unit
+    norm when normalize is set."""
+    if not isinstance(frame, ExponentFrame):
         raise BadShape(f"cannot materialize {type(frame).__name__}")
+    _check_cells(frame.m_rows, frame.n_cols, COMPLEX_CELL_CAP)
+    entries = roots_of_unity(frame.p)[frame.exps.astype(np.int64)]
     if normalize:
         entries = entries / np.sqrt(frame.m_rows)
     prov = dict(frame.provenance)
@@ -306,10 +268,13 @@ def save_exponent_csv(frame: ExponentFrame, path: str) -> None:
             fh.write(",".join(str(int(e)) for e in row) + "\n")
 
 
-def save_sign_csv(sm: SignMatrix, path: str) -> None:
-    """Plain CSV of +-1 integers, one row per line."""
+def save_sign_csv(frame: ExponentFrame, path: str) -> None:
+    """Plain CSV of the +-1 entries 1 - 2 exps of a p = 2 frame, one row
+    per line."""
+    if frame.p != 2:
+        raise BadShape(f"sign CSV needs p = 2, got p = {frame.p}")
     with open(path, "w", newline="\n") as fh:
-        for row in sm.entries:
+        for row in 1 - 2 * frame.exps.astype(np.int64):
             fh.write(",".join(str(int(e)) for e in row) + "\n")
 
 
@@ -329,7 +294,8 @@ def load_frame(path: str):
 
     Exponent frames whose header carries the field parameters are
     reattached to a freshly built context so the exact analysis paths
-    work; bare sign matrices only support the brute-force path.
+    work; a bare sign CSV becomes a p = 2 frame without field context,
+    which only supports the brute-force path.
     """
     with open(path) as fh:
         first = fh.readline()
@@ -359,5 +325,5 @@ def load_frame(path: str):
     data = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2)
     if not np.all(np.isin(data, (-1, 1))):
         raise BadShape(f"{path}: bare CSV must contain only +-1 entries")
-    return SignMatrix(entries=data.astype(np.int8),
-                      provenance={"construction": "loaded-sign-csv"})
+    return ExponentFrame(p=2, exps=((1 - data) // 2).astype(np.uint8),
+                         provenance={"construction": "loaded-sign-csv"})

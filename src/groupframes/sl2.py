@@ -21,6 +21,7 @@ from .coherence import (
     bound_general_kappa,
     cluster_complex,
     coherence_properties,
+    multiplier_sums,
     welch_bound,
 )
 from .errors import (
@@ -108,16 +109,28 @@ def a2m_values(p: int, m: int) -> np.ndarray:
     return subgroup_of_order(ctx, 2 * m).element_values.astype(np.int64)
 
 
-def _char_sums(p: int, values: np.ndarray, count: int) -> np.ndarray:
-    # s_l = sum_{a in values} w_p**(l a) for l = 1..count
-    roots = np.exp(2j * np.pi * np.arange(p) / p)
-    out = np.zeros(count, dtype=np.complex128)
-    block = max(1, (2 ** 22) // max(len(values), 1))
-    for l0 in range(0, count, block):
-        ls = np.arange(l0 + 1, min(l0 + block, count) + 1, dtype=np.int64)
-        ex = (ls[:, None] * values[None, :]) % p
-        out[l0:l0 + len(ls)] = roots[ex].sum(axis=1)
-    return out
+def _class_sums(p: int, m: int) -> np.ndarray:
+    # s_l = sum_{a in A2m} w_p**(l a) for l = 1..p-1.  Tr is the identity
+    # on the prime field, so s_l = 2m c_l with c the multiplier sums of
+    # A2m, read at log l.
+    ctx = build_field(p, 1)
+    c = multiplier_sums(ctx, subgroup_of_order(ctx, 2 * m).element_values)
+    return 2 * m * c[ctx.log_of_value[1:]]
+
+
+def _stacked_coherence(q: int, m: int, deg: int) -> dict:
+    # m stacked representations of degree deg = q -+ 1: the unipotent class
+    # pins the inner product 1/deg, the torus classes carrying characters
+    # mod p = q +- 1 = 2q - deg give |s_l| / (m deg) for l = 1..p-1
+    w = np.abs(_class_sums(2 * q - deg, m)) / (m * deg)
+    u = 1.0 / deg
+    return {
+        "mu": float(max(u, w.max())) if len(w) else u,
+        "u_value": u,
+        "w_values": w,
+        "n": q ** 3 - q,
+        "dim": m * deg ** 2,
+    }
 
 
 def sl2_induced_coherence(q: int, m: int) -> dict:
@@ -128,17 +141,7 @@ def sl2_induced_coherence(q: int, m: int) -> dict:
     classes contribute zero.
     """
     _validate_induced(q, m)
-    p = q - 1
-    sums = _char_sums(p, a2m_values(p, m), q - 2)
-    w = np.abs(sums) / (m * (q + 1))
-    u = 1.0 / (q + 1)
-    return {
-        "mu": float(max(u, w.max())) if len(w) else u,
-        "u_value": u,
-        "w_values": w,
-        "n": q ** 3 - q,
-        "dim": m * (q + 1) ** 2,
-    }
+    return _stacked_coherence(q, m, q + 1)
 
 
 def sl2_induced_bound(q: int, m: int) -> float:
@@ -159,17 +162,7 @@ def sl2_cuspidal_coherence(q: int, m: int) -> dict:
     """Mirror construction from the m cuspidal representations; nonsplit
     classes carry the character sums, split classes vanish."""
     _validate_cuspidal(q, m)
-    p = q + 1
-    sums = _char_sums(p, a2m_values(p, m), q)
-    w = np.abs(sums) / (m * (q - 1))
-    u = 1.0 / (q - 1)
-    return {
-        "mu": float(max(u, w.max())) if len(w) else u,
-        "u_value": u,
-        "w_values": w,
-        "n": q ** 3 - q,
-        "dim": m * (q - 1) ** 2,
-    }
+    return _stacked_coherence(q, m, q - 1)
 
 
 def sl2_welch(q: int, m: int, mode: str) -> float:
@@ -194,27 +187,29 @@ def sl2_report(q: int, m: int, mode: str,
     frame value 1/(n-1) (row sums of the Gram are -1 because all stacked
     characters are nontrivial irreducibles).
     """
+    # cuspidal characters are -1 on the unipotent class and minus the torus
+    # sums, so every cuspidal inner product carries a minus sign
     if mode == "induced":
         coh = sl2_induced_coherence(q, m)
         p = q - 1
         deg = q + 1
+        sign = 1.0
         sl2_bound = sl2_induced_bound(q, m)
-        u_signed = 1.0 / (q + 1)
         carrier, silent = "split", "nonsplit"
     elif mode == "cuspidal":
         coh = sl2_cuspidal_coherence(q, m)
         p = q + 1
         deg = q - 1
+        sign = -1.0
         sl2_bound = None
-        u_signed = -1.0 / (q - 1)
         carrier, silent = "nonsplit", "split"
     else:
         raise ValueError(f"mode must be induced or cuspidal, got {mode!r}")
 
     n, dim = coh["n"], coh["dim"]
     nu = 1.0 / (n - 1)
-    sums = _char_sums(p, a2m_values(p, m), (p - 1) // 2)
-    signed = sums / (m * deg) if mode == "induced" else -sums / (m * deg)
+    u_signed = sign / deg
+    signed = sign * _class_sums(p, m)[:(p - 1) // 2] / (m * deg)
 
     sizes = {kind: (count, size)
              for kind, count, size in sl2_class_data(q).families}

@@ -170,7 +170,7 @@ def test_criterion_02_hadamard_rows():
     got = []
     for r, m, pin in HADAMARD_ROWS:
         fr = build_hadamard_frame(r, m)
-        mu = coherence_fast(fr.as_exponent_frame().subgroup)
+        mu = coherence_fast(fr.subgroup)
         got.append((fr, 2 ** r, m, mu, pin))
     elapsed = time.perf_counter() - t0
 
@@ -359,8 +359,7 @@ def test_criterion_10_random_baselines():
                         brute="off").mu for s in seeds]
         rows.append((f"{p}^{r}", group, rand))
     for r, m, pin in HADAMARD_ROWS:
-        group = coherence_fast(
-            build_hadamard_frame(r, m).as_exponent_frame().subgroup)
+        group = coherence_fast(build_hadamard_frame(r, m).subgroup)
         rand = [analyze(build_random_hadamard_frame(r, m, seed=s),
                         brute="off").mu for s in seeds]
         rows.append((f"2^{r}", group, rand))

@@ -1,5 +1,7 @@
 """End-to-end command line behavior: files, determinism, exit codes."""
 
+import csv
+import io
 import json
 import os
 
@@ -20,7 +22,8 @@ def test_construct_field_p2_writes_sign_matrix(tmp_path, capsys):
     assert main(["construct", "--field", "2", "10", "--m", "341",
                  "--out", out]) == 0
     frame = load_frame(out)
-    assert frame.entries.shape == (341, 1024)
+    assert frame.exps.shape == (341, 1024)
+    assert set(np.loadtxt(out, delimiter=",", dtype=int).ravel()) == {-1, 1}
     prov = json.loads(read(out + ".provenance.json"))
     assert prov["construction"] == "hadamard-rows"
     assert prov["p"] == 2 and prov["r"] == 10 and prov["m"] == 341
@@ -47,6 +50,17 @@ def test_construct_harmonic(tmp_path):
     frame = load_frame(out)
     assert frame.exps.shape == (166, 499)
     assert frame.provenance["construction"] == "harmonic"
+
+
+def test_construct_harmonic_p2_writes_exponents(tmp_path):
+    # a p = 2 frame that is not a Hadamard construction keeps the
+    # exponent CSV with its header
+    out = str(tmp_path / "h2.csv")
+    assert main(["construct", "--harmonic", "2", "1", "--out", out]) == 0
+    assert read(out).startswith(b"# ")
+    frame = load_frame(out)
+    assert frame.exps.tolist() == [[0, 1]]
+    assert frame.subgroup is not None
 
 
 def test_construct_random_requires_seed(tmp_path, capsys):
@@ -100,6 +114,22 @@ def test_analyze_sl2(capsys):
     assert abs(rep["mu"] - 1 / 9) < 1e-12
 
 
+@pytest.mark.parametrize("q,mode", [(8192, "induced"), (65536, "cuspidal")])
+def test_analyze_sl2_largest_q(q, mode, tmp_path, capsys):
+    # n * |class| exceeds int64 here; the census multiplicities are exact
+    hist = str(tmp_path / "hist.csv")
+    assert main(["analyze", "--sl2", str(q), "1", "--mode", mode,
+                 "--histogram", hist]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    n = q ** 3 - q
+    assert rep["n"] == n
+    assert n * (n - 1) > 2 ** 63
+    assert sum(e["count"] for e in rep["distinct_values"]) == n * (n - 1)
+    assert sum(e["count"] for e in rep["distinct_magnitudes"]) == n * (n - 1)
+    lines = read(hist).decode().strip().split("\n")[1:]
+    assert sum(int(line.split(",")[2]) for line in lines) == n * (n - 1)
+
+
 def test_analyze_rejects_conflicting_sources(capsys):
     code = main(["analyze"])
     assert code == 2
@@ -130,6 +160,12 @@ def test_exit_codes(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "DegreeTooLarge"
     assert main(["bounds", "--n-min", "10", "--n-max", "5"]) == 2
+    capsys.readouterr()
+    assert main(["bounds", "--kappa", "3", "--n-min", "4", "--n-max", "20",
+                 "--step", "0"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "UsageError"
 
 
 def test_compare_table_ii(tmp_path):
@@ -151,6 +187,16 @@ def test_compare_table_ii(tmp_path):
     lines = read(out_csv).decode().strip().split("\n")
     assert lines[0].startswith("label,n,m_dim,group_mu,welch,bound,")
     assert len(lines) == 6
+
+
+def test_compare_table_i_csv_rows_match_header(tmp_path):
+    # labels such as "(256, 51)" hold a comma, so they must be quoted
+    out_csv = str(tmp_path / "t1.csv")
+    assert main(["compare", "--table", "I", "--out-csv", out_csv]) == 0
+    rows = list(csv.reader(io.StringIO(read(out_csv).decode())))
+    assert len(rows) == 6
+    assert all(len(row) == len(rows[0]) for row in rows)
+    assert rows[1][0] == "(256, 51)"
 
 
 def test_compare_table_iv(tmp_path):

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import groupframes.coherence as coherence
 from groupframes.coherence import (
+    _magnitude_census,
     analyze,
     average_coherence,
     bound_general_kappa,
@@ -35,10 +37,11 @@ from groupframes.frames import (
     ComplexFrame,
     build_field_frame,
     build_hadamard_frame,
+    build_harmonic_frame,
     build_random_exponent_frame,
     materialize,
 )
-from groupframes.gf import build_field
+from groupframes.gf import build_field, is_prime
 from groupframes.subgroups import parity_of_minus_one, subgroup_of_order
 
 
@@ -161,6 +164,79 @@ def test_multiplier_sums_extend_coset_sums():
         assert abs(ms[ell] - cs.values[ell % spec.kappa]) < 1e-12
 
 
+def histogram_sums(ctx, multiplier_values, count):
+    """Exact oracle for multiplier_sums at log z = 0 .. count-1: integer
+    counts of each trace value Tr(a z), one complex combination at the
+    end."""
+    mv = np.asarray(multiplier_values, dtype=np.int64)
+    p, order = ctx.p, ctx.n - 1
+    logs = ctx.log_of_value[mv[mv != 0]]
+    ell = np.arange(count, dtype=np.int64)
+    tr = ctx.trace_of_exp[(logs[:, None] + ell[None, :]) % order]
+    counts = np.bincount((ell * p + tr).ravel(),
+                         minlength=count * p).reshape(count, p)
+    counts[:, 0] += np.count_nonzero(mv == 0)  # Tr(0 z) = 0
+    return counts @ roots_of_unity(p) / len(mv)
+
+
+def _fields(limit):
+    for p in range(2, limit + 1):
+        if is_prime(p):
+            r = 1
+            while p ** r <= limit:
+                yield p, r
+                r += 1
+
+
+def test_multiplier_sums_match_histogram_oracle_on_subgroups():
+    # every subgroup of every field with n <= 1024; the oracle needs only
+    # the kappa coset values, the kernel gives all n-1
+    worst, cases = 0.0, 0
+    for p, r in _fields(1024):
+        ctx = build_field(p, r)
+        order = ctx.n - 1
+        for m in [d for d in range(1, order + 1) if order % d == 0]:
+            spec = subgroup_of_order(ctx, m)
+            got = multiplier_sums(ctx, spec.element_values)
+            want = histogram_sums(ctx, spec.element_values, spec.kappa)
+            worst = max(worst, float(np.max(np.abs(
+                got - want[np.arange(order) % spec.kappa]))))
+            cases += 1
+    assert cases == 2162
+    assert worst <= 1e-12
+
+
+def test_multiplier_sums_match_histogram_oracle_on_random_lists():
+    rng = np.random.default_rng(20)
+    for p, r in [(2, 1), (2, 10), (3, 6), (5, 4), (7, 3), (1021, 1)]:
+        ctx = build_field(p, r)
+        for m in (1, 2, 7, 60):
+            mv = rng.integers(0, ctx.n, size=m)  # repeats counted
+            mv[rng.integers(m)] = 0
+            got = multiplier_sums(ctx, mv)
+            want = histogram_sums(ctx, mv, ctx.n - 1)
+            assert np.max(np.abs(got - want)) <= 1e-12, (p, r, m)
+
+
+def test_multiplier_sums_exact_for_p2():
+    # the sums of +-1 are integers before the division by m, so the
+    # kernel and the integer histogram agree to the last bit
+    ctx = build_field(2, 9)
+    mv = np.random.default_rng(3).integers(0, ctx.n, size=37)
+    got = multiplier_sums(ctx, mv)
+    assert np.all(got.imag == 0)
+    assert np.array_equal(got, histogram_sums(ctx, mv, ctx.n - 1))
+
+
+def test_analyze_prime_field_census_at_65537():
+    # a kappa x p histogram would need 16 GiB here
+    rep = analyze(build_harmonic_frame(65537, 2), brute="off")
+    assert rep.kappa == 32768
+    assert sum(c for _, c in rep.distinct_values) == rep.n * (rep.n - 1)
+    assert abs(rep.mu - coherence_fast(
+        subgroup_of_order(build_field(65537, 1), 2))) < 1e-15
+
+
 def test_coherence_fast_equals_bruteforce_small():
     for p, r, m in [(3, 3, 13), (7, 1, 3), (2, 5, 31), (5, 2, 12)]:
         spec = subgroup_of_order(build_field(p, r), m)
@@ -207,6 +283,47 @@ def test_cluster_complex_merges_near_values():
     assert sorted(counts.tolist()) == [1, 2]
     reps2, counts2 = cluster_complex(vals, weights=[2, 3, 4], tol=1e-9)
     assert sorted(counts2.tolist()) == [4, 5]
+
+
+def test_cluster_complex_merges_across_grid_lines():
+    # 2e-13 apart, on either side of the grid line at tol/2
+    for unit in (1, 1j):
+        vals = unit * np.array([0.5e-9 - 1e-13, 0.5e-9 + 1e-13])
+        reps, counts = cluster_complex(vals, tol=1e-9)
+        assert counts.tolist() == [2]
+        assert abs(reps[0] - unit * 0.5e-9) < 1e-20
+    # a chain of neighbours within tol is one cluster; a wider gap splits
+    reps, counts = cluster_complex([0.0, 0.8e-9, 1.6e-9, 5e-9], tol=1e-9)
+    assert counts.tolist() == [3, 1]
+    mags = _magnitude_census([(0.5e-9 - 1e-13, 3), (-0.5e-9 - 1e-13j, 4)],
+                             tol=1e-9)
+    assert [c for _, c in mags] == [7]
+
+
+def test_cluster_complex_exact_large_weights():
+    big = 2 ** 70
+    reps, counts = cluster_complex([0.25, 0.25, 0.5], weights=[big, big, 1])
+    assert counts.tolist() == [2 * big, 1]
+    assert reps.tolist() == [0.25, 0.5]
+
+
+def test_analyze_skips_gram_census_when_sums_give_it(monkeypatch):
+    sizes = []
+    real = coherence.cluster_complex
+
+    def spy(values, *args, **kwargs):
+        sizes.append(np.size(values))
+        return real(values, *args, **kwargs)
+
+    monkeypatch.setattr(coherence, "cluster_complex", spy)
+    frame = build_field_frame(3, 3, 13)
+    rep = analyze(frame, brute="on")
+    assert "mu_bruteforce" in rep.paths
+    assert max(sizes) == rep.kappa == 2
+    sizes.clear()
+    rep = analyze(materialize(frame), brute="on")
+    assert rep.paths["census_source"] == "gram"
+    assert max(sizes) == 27 * 26
 
 
 def test_analyze_census_covers_all_pairs():

@@ -14,7 +14,7 @@ from groupframes.errors import (
     TooManyRows,
 )
 from groupframes.frames import (
-    SignMatrix,
+    ExponentFrame,
     build_field_frame,
     build_hadamard_frame,
     build_harmonic_frame,
@@ -72,29 +72,35 @@ def test_hadamard_sylvester_oracle():
     # H[i, j] = (-1)^popcount(i & j)
     for r, m in [(2, 3), (3, 7), (4, 5)]:
         sm = build_hadamard_frame(r, m)
-        assert isinstance(sm, SignMatrix)
+        assert isinstance(sm, ExponentFrame) and sm.p == 2
         labels = sm.provenance["sylvester_rows"]
         ctx = build_field(2, r)
         col_values = np.concatenate([[0], ctx.value_of_exp])
         for i, lab in enumerate(labels):
             expect = [(-1) ** bin(lab & int(v)).count("1")
                       for v in col_values]
-            assert sm.entries[i].tolist() == expect
+            assert (1 - 2 * sm.exps[i].astype(int)).tolist() == expect
 
 
 def test_hadamard_rows_nonconstant():
     sm = build_hadamard_frame(2, 3)
-    assert sm.entries.shape == (3, 4)
-    for row in sm.entries:
+    assert sm.exps.shape == (3, 4)
+    for row in 1 - 2 * sm.exps.astype(int):
         assert row.sum() == 0  # nontrivial characters balance
 
 
-def test_sign_to_exponent_conversion():
+def test_sign_to_exponent_conversion(tmp_path):
+    # a Hadamard frame is the p = 2 field frame with Sylvester labels; its
+    # sign CSV holds the entries 1 - 2 exps
     sm = build_hadamard_frame(3, 7)
-    ef = sm.as_exponent_frame()
-    assert np.array_equal(1 - 2 * ef.exps.astype(np.int64), sm.entries)
-    assert ef.ctx is sm.ctx
-    assert ef.subgroup is sm.subgroup
+    ef = build_field_frame(2, 3, 7)
+    assert np.array_equal(sm.exps, ef.exps)
+    assert sm.ctx is not None and sm.subgroup.m == 7
+    assert np.array_equal(sm.multiplier_values, sm.subgroup.element_values)
+    path = str(tmp_path / "s.csv")
+    save_sign_csv(sm, path)
+    signs = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2)
+    assert np.array_equal(signs, 1 - 2 * sm.exps.astype(np.int64))
 
 
 def test_random_frames_reproducible():
@@ -125,8 +131,8 @@ def test_random_bernoulli_mode():
 
 def test_random_hadamard_sign_entries():
     sm = build_random_hadamard_frame(6, 10, seed=9)
-    assert sm.entries.shape == (10, 64)
-    assert set(np.unique(sm.entries)) <= {-1, 1}
+    assert sm.exps.shape == (10, 64)
+    assert set(np.unique(1 - 2 * sm.exps.astype(int))) <= {-1, 1}
     assert sm.provenance["construction"] == "random-hadamard-rows"
 
 
@@ -156,7 +162,8 @@ def test_materialize_norms():
 def test_materialize_hadamard_exact():
     sm = build_hadamard_frame(3, 7)
     cf = materialize(sm, normalize=False)
-    assert np.array_equal(cf.entries.real.astype(np.int8), sm.entries)
+    assert np.array_equal(cf.entries.real.astype(np.int8),
+                          1 - 2 * sm.exps.astype(np.int8))
     assert np.all(cf.entries.imag == 0)
 
 
@@ -193,8 +200,11 @@ def test_sign_csv_round_trip(tmp_path):
     path = str(tmp_path / "s.csv")
     save_sign_csv(sm, path)
     g = load_frame(path)
-    assert isinstance(g, SignMatrix)
-    assert np.array_equal(g.entries, sm.entries)
+    assert isinstance(g, ExponentFrame) and g.p == 2
+    assert g.ctx is None and g.multiplier_values is None
+    assert np.array_equal(g.exps, sm.exps)
+    with pytest.raises(BadShape):
+        save_sign_csv(build_field_frame(3, 3, 13), path)
 
 
 def test_bare_csv_rejects_non_sign_entries(tmp_path):
