@@ -433,7 +433,10 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--bins", type=int, default=200,
                      help="histogram bin count (default 200)")
     ana.add_argument("--brute", choices=("on", "off", "auto"),
-                     default="auto", help="Gram-matrix oracle control")
+                     default="auto",
+                     help="verification level: off uses the character "
+                          "sums alone, auto and on add the dense checks "
+                          "and the Gram oracle")
     ana.add_argument("--log-base", default="e",
                      help="log base for the property thresholds "
                           "(default natural)")

@@ -6,9 +6,10 @@ column difference z = x_j - x_i, so the full inner-product census reduces
 to the n-1 sums c_z = (1/m) sum_a w**Tr(az).  Indexed by discrete log,
 these sums are one cyclic correlation, computed by FFT for any multiplier
 list.  When the multipliers form a subgroup A, c is constant on the kappa
-cosets of A, so the first kappa sums are the whole census.  The
-brute-force Gram path is kept as an independent oracle and cross-checked
-against the exact path whenever both run.
+cosets of A, so the first kappa sums are the whole census.  The dense
+checks on the materialized matrix and the brute-force Gram path are kept
+as an independent oracle; wherever both routes run, a gap between them
+above ROUTE_TOL is an InvariantViolation.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 from .errors import (
     BadShape,
+    InvariantViolation,
     KappaOddWithModdP,
     NotNormalized,
     ResourceCap,
@@ -36,6 +38,9 @@ from .subgroups import SubgroupSpec
 
 BRUTE_CAP = 4096
 CLUSTER_TOL = 1e-9
+# largest gap allowed between the character-sum and the dense value of mu
+# or nu
+ROUTE_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -400,17 +405,31 @@ def _census_mean_sq(distinct_values, n: int) -> float:
     return float(total / (n * (n - 1)))
 
 
+def _judge_gap(paths: dict, key: str, fast: float, dense: float) -> None:
+    # both routes compute the same number; a gap past ROUTE_TOL is a bug
+    gap = abs(fast - dense)
+    paths[key] = gap
+    if gap > ROUTE_TOL:
+        raise InvariantViolation(f"{key} = {gap:.3g} exceeds the route "
+                                 f"tolerance {ROUTE_TOL}")
+
+
 def analyze(frame, brute: str = "auto", log_base: float | None = None,
             cluster_tol: float = CLUSTER_TOL) -> CoherenceReport:
     """Analyze an exponent frame or a materialized frame.
 
-    brute controls the O(n^2 m) Gram oracle: "on" forces it (error above
-    the 4096-column cap), "auto" runs it up to the cap, "off" skips it.
-    The exact character-sum path runs whenever the frame carries its
-    multiplier structure, and then gives the census; a subgroup only sets
-    the census period kappa.  nu and the tightness residual additionally
-    use the materialized matrix (cheap) whenever it fits in memory.  When
-    two paths produce the same quantity their gap is recorded under paths.
+    brute is the verification level.  When the frame carries its
+    multiplier structure (field context, full columns, multiplier list),
+    mu, nu and the census come from the n-1 character sums, and with
+    brute="off" nothing else runs: no matrix is materialized, and the
+    tightness residual is the exact value that character orthogonality
+    gives, 0 for distinct multipliers and n/m when one repeats.  "auto"
+    and "on" add the dense checks on the normalized matrix (nu, the
+    tightness residual, and up to BRUTE_CAP columns the O(n^2 m) Gram
+    oracle for mu; "on" is an error above that cap), and their values are
+    the ones reported.  Frames without multiplier structure get the dense
+    route at every level.  Where both routes ran, the gaps are recorded
+    under paths, and a gap above ROUTE_TOL raises InvariantViolation.
     """
     if brute not in ("on", "off", "auto"):
         raise BadShape(f"brute must be on/off/auto, got {brute!r}")
@@ -424,9 +443,11 @@ def analyze(frame, brute: str = "auto", log_base: float | None = None,
     fast_mu = fast_nu = None
     census = []
     kappa = None
+    tightness = None
 
-    if isinstance(frame, ExponentFrame) and frame.ctx is not None \
-            and frame.full_columns and frame.multiplier_values is not None:
+    structured = isinstance(frame, ExponentFrame) and frame.ctx is not None \
+        and frame.full_columns and frame.multiplier_values is not None
+    if structured:
         # c at log z is periodic with period kappa for a subgroup, so its
         # first period, each value taken by n(n-1)/period ordered pairs,
         # is the census
@@ -445,21 +466,24 @@ def analyze(frame, brute: str = "auto", log_base: float | None = None,
                           .tolist()))
         paths["mu_fast"] = fast_mu
         paths["nu_fast"] = fast_nu
+        # (FF*)[a, b] = (1/m) sum_x w**Tr((a - b) x) = (n/m) [a = b]
+        distinct = len(np.unique(frame.multiplier_values)) == m_rows
+        tightness = 0.0 if distinct else n_cols / m_rows
 
     cf = None
     if isinstance(frame, ComplexFrame):
         cf = frame
-    elif m_rows * n_cols <= COMPLEX_CELL_CAP:
+    elif (brute != "off" or not structured) \
+            and m_rows * n_cols <= COMPLEX_CELL_CAP:
         cf = materialize(frame, normalize=True)
 
-    tightness = None
     exact_nu = None
     if cf is not None:
         exact_nu = average_coherence(cf)
         tightness = tightness_residual(cf)
         paths["nu_bruteforce"] = exact_nu
         if fast_nu is not None:
-            paths["nu_gap"] = abs(fast_nu - exact_nu)
+            _judge_gap(paths, "nu_gap", fast_nu, exact_nu)
 
     if brute == "on" and n_cols > BRUTE_CAP:
         raise ResourceCap(f"brute force requested for n = {n_cols} "
@@ -480,7 +504,7 @@ def analyze(frame, brute: str = "auto", log_base: float | None = None,
             census = bf["distinct_values"]
             paths["census_source"] = "gram"
         if fast_mu is not None:
-            paths["mu_gap"] = abs(fast_mu - brute_mu)
+            _judge_gap(paths, "mu_gap", fast_mu, brute_mu)
 
     if brute_mu is None and fast_mu is None:
         raise BadShape("no analysis path available: frame carries no "

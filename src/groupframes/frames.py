@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BadShape,
@@ -85,19 +86,23 @@ def _check_cells(m: int, n: int, cap: int):
 
 
 def _exponent_rows(ctx: FieldCtx, multiplier_values) -> np.ndarray:
-    """exps[i][j] = Tr(a_i x_j) with x_0 = 0 and x_j = g**(j-1)."""
+    """exps[i][j] = Tr(a_i x_j) with x_0 = 0 and x_j = g**(j-1).
+
+    With k = log a, Tr(a g**(j-1)) = trace_of_exp[(k + j - 1) mod (n-1)],
+    so each nonzero row is the trace table cyclically shifted by k: a
+    window of the trace table written twice.
+    """
     mv = np.asarray(multiplier_values, dtype=np.int64)
     m, n, order = len(mv), ctx.n, ctx.n - 1
     _check_cells(m, n, EXP_CELL_CAP)
     exps = np.zeros((m, n), dtype=ctx.coeff_dtype)
-    nonzero = mv != 0
-    logs = ctx.log_of_value[mv[nonzero]]
-    cols = np.arange(order, dtype=np.int64)
+    trace = ctx.trace_of_exp.astype(ctx.coeff_dtype)
+    windows = sliding_window_view(np.concatenate((trace, trace[:-1])), order)
+    tgt = np.flatnonzero(mv != 0)
+    logs = ctx.log_of_value[mv[tgt]]
     block = max(1, (2 ** 24) // max(order, 1))
-    tgt = np.flatnonzero(nonzero)
     for i0 in range(0, len(logs), block):
-        idx = (logs[i0:i0 + block, None] + cols[None, :]) % order
-        exps[tgt[i0:i0 + block], 1:] = ctx.trace_of_exp[idx]
+        exps[tgt[i0:i0 + block], 1:] = windows[logs[i0:i0 + block]]
     return exps
 
 
@@ -289,13 +294,31 @@ def save_complex_csv(cf: ComplexFrame, path: str) -> None:
             fh.write(",".join(parts) + "\n")
 
 
+def _check_stored_rows(stored: np.ndarray, expected: np.ndarray) -> None:
+    # the analysis trusts the header's multipliers, so the stored exponents
+    # must be exactly the rows those multipliers give
+    if stored.shape != expected.shape:
+        raise ContextMismatch(f"stored frame is {stored.shape[0]} x "
+                              f"{stored.shape[1]}, header gives "
+                              f"{expected.shape[0]} x {expected.shape[1]}")
+    bad = np.argwhere(stored != expected)
+    if len(bad):
+        i, j = (int(v) for v in bad[0])
+        raise ContextMismatch(f"stored exponent at (row {i}, column {j}) is "
+                              f"{int(stored[i, j])}, header gives "
+                              f"{int(expected[i, j])}")
+
+
 def load_frame(path: str):
     """Read back an exponent CSV (with header) or a bare sign CSV.
 
     Exponent frames whose header carries the field parameters are
     reattached to a freshly built context so the exact analysis paths
-    work; a bare sign CSV becomes a p = 2 frame without field context,
-    which only supports the brute-force path.
+    work; when the header also names the multipliers of a full-column
+    frame, the stored exponents must equal the rows they give, or
+    ContextMismatch names the first cell that differs.  A bare sign CSV
+    becomes a p = 2 frame without field context, which only supports the
+    brute-force path.
     """
     with open(path) as fh:
         first = fh.readline()
@@ -318,10 +341,17 @@ def load_frame(path: str):
                     mv = subgroup.element_values
                 elif "multiplier_values" in header:
                     mv = np.array(header["multiplier_values"], dtype=np.int64)
+                    if mv.ndim != 1 or not len(mv) or mv.min() < 0 \
+                            or mv.max() >= ctx.n:
+                        raise BadShape(f"multiplier_values must be a list of "
+                                       f"field values in [0, {ctx.n})")
+            full_columns = bool(header.get("full_columns", False))
+            if mv is not None and full_columns:
+                _check_stored_rows(exps, _exponent_rows(ctx, mv))
             return ExponentFrame(
                 p=p, exps=exps.astype(np.int64), provenance=header, ctx=ctx,
                 subgroup=subgroup, multiplier_values=mv,
-                full_columns=bool(header.get("full_columns", False)))
+                full_columns=full_columns)
     data = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2)
     if not np.all(np.isin(data, (-1, 1))):
         raise BadShape(f"{path}: bare CSV must contain only +-1 entries")

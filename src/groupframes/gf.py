@@ -204,6 +204,15 @@ class FieldElem:
         return self.value == 0
 
 
+def _check_bijection(value_of_exp: np.ndarray, n: int) -> None:
+    """The n-1 powers of the generator must hit every nonzero value of
+    GF(n) once: mark each value seen, in O(n)."""
+    seen = np.zeros(n, dtype=bool)
+    seen[value_of_exp] = True
+    if len(value_of_exp) != n - 1 or seen[0] or not seen[1:].all():
+        raise InvariantViolation("exponent table is not a bijection")
+
+
 class FieldCtx:
     """GF(p**r) with exponent/log/trace tables; build via build_field()."""
 
@@ -313,9 +322,7 @@ class FieldCtx:
         self.exp_coeffs = E.astype(self.coeff_dtype)
         powers = np.int64(p) ** np.arange(r, dtype=np.int64)
         self.value_of_exp = (E @ powers).astype(np.int64)
-        if (len(np.unique(self.value_of_exp)) != n - 1
-                or np.any(self.value_of_exp == 0)):
-            raise InvariantViolation("exponent table is not a bijection")
+        _check_bijection(self.value_of_exp, n)
         self.log_of_value = np.full(n, -1, dtype=np.int64)
         self.log_of_value[self.value_of_exp] = np.arange(n - 1, dtype=np.int64)
         tr_basis = self._trace_basis()

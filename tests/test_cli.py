@@ -107,6 +107,31 @@ def test_analyze_from_file_keeps_exact_path(tmp_path):
     assert rep["paths"]["mu_gap"] < 1e-9
 
 
+def test_analyze_rejects_tampered_exponent_csv(tmp_path, capsys):
+    path = str(tmp_path / "f.csv")
+    assert main(["construct", "--field", "3", "3", "--m", "13",
+                 "--out", path]) == 0
+    capsys.readouterr()
+    clean = read(path)
+    for brute in ("off", "auto"):
+        assert main(["analyze", "--in", path, "--brute", brute]) == 0
+        assert json.loads(capsys.readouterr().out)["paths"][
+            "census_source"] == "coset-sums"
+    lines = clean.decode().split("\n")
+    cells = lines[3].split(",")
+    cells[5] = str((int(cells[5]) + 1) % 3)
+    lines[3] = ",".join(cells)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines))
+    for brute in ("off", "auto"):
+        assert main(["analyze", "--in", path, "--brute", brute]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        obj = json.loads(err[0])
+        assert obj["error"] == "ContextMismatch"
+        assert "(row 2, column 5)" in obj["message"]
+
+
 def test_analyze_sl2(capsys):
     assert main(["analyze", "--sl2", "8", "3"]) == 0
     rep = json.loads(capsys.readouterr().out)

@@ -29,16 +29,20 @@ from groupframes.coherence import (
 )
 from groupframes.errors import (
     BadShape,
+    InvariantViolation,
     KappaOddWithModdP,
     NotNormalized,
     ResourceCap,
 )
 from groupframes.frames import (
     ComplexFrame,
+    ExponentFrame,
+    _exponent_rows,
     build_field_frame,
     build_hadamard_frame,
     build_harmonic_frame,
     build_random_exponent_frame,
+    build_random_hadamard_frame,
     materialize,
 )
 from groupframes.gf import build_field, is_prime
@@ -356,6 +360,75 @@ def test_analyze_group_frame_invariants():
     assert rep.welch <= rep.mu + 1e-12
     assert rep.kappa == 2
     assert rep.property_flags["equiangular"]
+
+
+def _structured_frames():
+    return (build_field_frame(3, 3, 13), build_field_frame(5, 3, 31),
+            build_hadamard_frame(8, 51),
+            build_random_exponent_frame(3, 4, 20, seed=3),
+            build_random_exponent_frame(7, 2, 9, seed=5, bernoulli=True),
+            build_random_hadamard_frame(7, 12, seed=1))
+
+
+def test_analyze_off_does_no_dense_work(monkeypatch):
+    def dense(*args, **kwargs):
+        raise AssertionError("dense work under brute='off'")
+
+    for name in ("materialize", "average_coherence", "tightness_residual"):
+        monkeypatch.setattr(coherence, name, dense)
+    for frame in _structured_frames():
+        rep = analyze(frame, brute="off")
+        assert rep.tightness_residual == 0.0
+        assert rep.nu == rep.paths["nu_fast"]
+        assert "nu_bruteforce" not in rep.paths
+        assert "nu_gap" not in rep.paths
+
+
+def test_analyze_off_agrees_with_dense_route():
+    for frame in _structured_frames():
+        off = analyze(frame, brute="off")
+        on = analyze(frame, brute="on")
+        assert abs(on.nu - off.nu) <= 1e-12
+        assert abs(on.mu - off.mu) <= 1e-12
+        assert on.distinct_values == off.distinct_values
+        assert off.tightness_residual == 0.0
+        assert on.tightness_residual < 1e-9
+
+
+def test_analyze_repeated_multiplier_tightness():
+    ctx = build_field(3, 3)
+    mv = np.array([1, 5, 0, 5, 7], dtype=np.int64)
+    frame = ExponentFrame(p=3, exps=_exponent_rows(ctx, mv), provenance={},
+                          ctx=ctx, multiplier_values=mv, full_columns=True)
+    n_over_m = 27 / 5
+    assert analyze(frame, brute="off").tightness_residual == n_over_m
+    assert abs(tightness_residual(materialize(frame)) - n_over_m) < 1e-9
+    assert abs(analyze(frame, brute="on").tightness_residual
+               - n_over_m) < 1e-9
+
+
+def test_analyze_exact_tightness_above_complex_cap(monkeypatch):
+    # a frame too large to materialize reports the exact residual
+    monkeypatch.setattr(coherence, "COMPLEX_CELL_CAP", 100)
+    rep = analyze(build_field_frame(3, 3, 13), brute="auto")
+    assert rep.tightness_residual == 0.0
+    assert "mu_bruteforce" not in rep.paths
+
+
+def test_analyze_route_gap_raises(monkeypatch):
+    real = coherence.multiplier_sums
+
+    def perturbed(ctx, multiplier_values):
+        values = real(ctx, multiplier_values)
+        values[0] += 1e-6
+        return values
+
+    monkeypatch.setattr(coherence, "multiplier_sums", perturbed)
+    frame = build_field_frame(3, 3, 13)
+    with pytest.raises(InvariantViolation, match="gap"):
+        analyze(frame, brute="on")
+    # one route only: nothing to judge
+    assert analyze(frame, brute="off").mu > 0
 
 
 def test_analyze_random_frame_not_tight_label():

@@ -15,6 +15,8 @@ from groupframes.errors import (
 )
 from groupframes.frames import (
     ExponentFrame,
+    _draw_multipliers,
+    _exponent_rows,
     build_field_frame,
     build_hadamard_frame,
     build_harmonic_frame,
@@ -26,7 +28,74 @@ from groupframes.frames import (
     save_exponent_csv,
     save_sign_csv,
 )
-from groupframes.gf import build_field
+from groupframes.gf import build_field, is_prime
+from groupframes.subgroups import subgroup_of_order
+
+
+def modulo_gather_rows(ctx, multiplier_values):
+    """Oracle for _exponent_rows: an explicit (log a + j) mod (n-1) index
+    for every cell, gathered from the trace table."""
+    mv = np.asarray(multiplier_values, dtype=np.int64)
+    m, n, order = len(mv), ctx.n, ctx.n - 1
+    exps = np.zeros((m, n), dtype=ctx.coeff_dtype)
+    nonzero = mv != 0
+    logs = ctx.log_of_value[mv[nonzero]]
+    cols = np.arange(order, dtype=np.int64)
+    idx = (logs[:, None] + cols[None, :]) % order
+    exps[np.flatnonzero(nonzero), 1:] = ctx.trace_of_exp[idx]
+    return exps
+
+
+def assert_rows_match_oracle(ctx, mv):
+    got = _exponent_rows(ctx, mv)
+    want = modulo_gather_rows(ctx, mv)
+    assert got.dtype == want.dtype == ctx.coeff_dtype
+    assert np.array_equal(got, want), (ctx.p, ctx.r, list(mv[:8]))
+
+
+def test_exponent_rows_match_oracle_on_subgroups():
+    # every subgroup of every field with n <= 1024
+    cases = 0
+    for n in range(2, 1025):
+        p = next(d for d in range(2, n + 1) if n % d == 0)
+        r = round(np.log(n) / np.log(p))
+        if p ** r != n:
+            continue
+        ctx = build_field(p, r)
+        order = n - 1
+        for m in [d for d in range(1, order + 1) if order % d == 0]:
+            assert_rows_match_oracle(
+                ctx, subgroup_of_order(ctx, m).element_values)
+            cases += 1
+    assert cases == 2162
+
+
+def bernoulli_draw_with_zero(n, m):
+    # the first seeded Bernoulli(m/n) draw that selects the zero multiplier
+    for seed in range(100):
+        try:
+            mv, _ = _draw_multipliers(n, m, seed, True)
+        except BadShape:  # a draw that selected no row
+            continue
+        if mv[0] == 0:
+            return mv
+    raise AssertionError(f"no draw with zero for n = {n}, m = {m}")
+
+
+def test_exponent_rows_match_oracle_on_lists():
+    rng = np.random.default_rng(7)
+    for p, r in [(2, 1), (2, 9), (3, 1), (3, 5), (7, 3), (257, 1),
+                 (65537, 1)]:
+        ctx = build_field(p, r)
+        for m in (1, 5, 40):
+            # repeats allowed
+            assert_rows_match_oracle(ctx, rng.integers(0, ctx.n, size=m))
+        if ctx.n <= 343:
+            mv = bernoulli_draw_with_zero(ctx.n, ctx.n // 3 + 1)
+            assert mv[0] == 0
+            assert_rows_match_oracle(ctx, mv)
+        assert_rows_match_oracle(
+            ctx, np.array([0, 1, ctx.n - 1, 0, 1], dtype=np.int64))
 
 
 def test_trivial_prime_field_row():
@@ -227,6 +296,42 @@ def test_tampered_modulus_rejected(tmp_path):
     with open(path, "w") as fh:
         fh.writelines(lines)
     with pytest.raises(ContextMismatch):
+        load_frame(path)
+
+
+def _tamper_cell(path, row, col):
+    # bump one stored exponent by 1 mod 3 in an exponent CSV of GF(27)
+    with open(path) as fh:
+        lines = fh.readlines()
+    cells = lines[1 + row].strip().split(",")
+    cells[col] = str((int(cells[col]) + 1) % 3)
+    lines[1 + row] = ",".join(cells) + "\n"
+    with open(path, "w") as fh:
+        fh.writelines(lines)
+
+
+def test_tampered_exponents_rejected(tmp_path):
+    for f in (build_field_frame(3, 3, 13),
+              build_random_exponent_frame(3, 3, 13, seed=4)):
+        path = str(tmp_path / "f.csv")
+        save_exponent_csv(f, path)
+        _tamper_cell(path, 4, 9)
+        with pytest.raises(ContextMismatch, match=r"\(row 4, column 9\)"):
+            load_frame(path)
+    # header multipliers outside the field
+    f = build_random_exponent_frame(3, 3, 13, seed=4)
+    f.multiplier_values = f.multiplier_values.copy()
+    f.multiplier_values[0] = 27
+    save_exponent_csv(f, path)
+    with pytest.raises(BadShape, match="multiplier_values"):
+        load_frame(path)
+    # a dropped row is a shape mismatch
+    save_exponent_csv(build_field_frame(3, 3, 13), path)
+    with open(path) as fh:
+        lines = fh.readlines()
+    with open(path, "w") as fh:
+        fh.writelines(lines[:-1])
+    with pytest.raises(ContextMismatch, match="12 x 27"):
         load_frame(path)
 
 

@@ -8,10 +8,16 @@ from groupframes.errors import (
     ContextMismatch,
     DegreeTooLarge,
     DivisionByZero,
+    InvariantViolation,
     NotPrime,
     ZeroElement,
 )
-from groupframes.gf import build_field, is_prime, prime_factors
+from groupframes.gf import (
+    _check_bijection,
+    build_field,
+    is_prime,
+    prime_factors,
+)
 
 
 def test_is_prime_small_table():
@@ -72,6 +78,17 @@ def test_exp_log_tables_consistent(p, r):
     assert np.array_equal(ctx.log_of_value[ctx.value_of_exp], ks)
     # Lagrange: g^(n-1) = 1 closes the cycle
     assert ctx.from_log(n - 1) == ctx.one
+
+
+def test_bijection_check():
+    _check_bijection(np.array([1, 3, 2, 6, 4, 5]), 7)
+    _check_bijection(build_field(2, 10).value_of_exp, 1024)
+    with pytest.raises(InvariantViolation):
+        _check_bijection(np.array([1, 3, 2, 6, 3, 5]), 7)  # 3 twice
+    with pytest.raises(InvariantViolation):
+        _check_bijection(np.array([1, 3, 2, 0, 4, 5]), 7)  # 0 in place of 6
+    with pytest.raises(InvariantViolation):
+        _check_bijection(np.array([1, 3, 2, 6, 4]), 7)  # too short
 
 
 @pytest.mark.parametrize("p,r", [(2, 6), (3, 3), (5, 2), (7, 2), (11, 1)])
