@@ -25,8 +25,9 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .coherence import analyze, bound_general_kappa, bound_m_odd, \
-    random_fourier_bound, welch_bound
+from .coherence import analyze, bound_general_kappa, \
+    bound_m_odd_where_valid, property_thresholds, random_fourier_bound, \
+    welch_bound
 from .errors import (
     InvariantViolation,
     ResourceError,
@@ -214,12 +215,13 @@ def cmd_construct(args) -> int:
 # analyze
 # ---------------------------------------------------------------------------
 
-def _histogram_csv(mag_entries: list[dict], bins: int) -> str:
+def _histogram_csv(magnitudes: list, bins: int) -> str:
+    # magnitudes: the report's (value, count) pairs
     if bins < 1:
         raise UsageError(f"--bins must be >= 1, got {bins}")
-    vals = np.array([e["value"] for e in mag_entries], dtype=np.float64)
+    vals = np.array([v for v, _ in magnitudes], dtype=np.float64)
     # counts can exceed int64 (SL2 at the largest q); keep them exact
-    cnts = np.array([e["count"] for e in mag_entries], dtype=object)
+    cnts = np.array([c for _, c in magnitudes], dtype=object)
     hi = float(vals.max()) if len(vals) else 0.0
     if hi <= 0.0:
         hi = 1.0
@@ -237,13 +239,12 @@ def cmd_analyze(args) -> int:
         q, m = args.sl2
         report = sl2_report(q, m, args.mode, log_base=log_base)
     else:
-        frame = _build_from_args(args)
-        report = analyze(frame, brute=args.brute,
-                         log_base=log_base).to_dict()
-    _write_text(args.report, _json_text(report))
+        report = analyze(_build_from_args(args), brute=args.brute,
+                         log_base=log_base)
+    _write_text(args.report, _json_text(report.to_dict()))
     if args.histogram:
         _write_text(args.histogram,
-                    _histogram_csv(report["distinct_magnitudes"], args.bins))
+                    _histogram_csv(report.distinct_magnitudes, args.bins))
     return 0
 
 
@@ -260,20 +261,19 @@ def _gaussian_mu(dim: int, n: int, seed: int) -> float:
     return float(np.max(np.abs(gram[off])))
 
 
-def _compare_row(label: str, group: dict, bound_kind: str,
-                 per_seed: list) -> dict:
-    # group is a frame or SL2 report dict, per_seed the baseline mus
+def _compare_row(label: str, group, bound_kind: str, per_seed: list) -> dict:
+    # group is a frame or SL2 report, per_seed the baseline mus
     return {
         "label": label,
-        "n": group["n"],
-        "m_dim": group["m_dim"],
-        "group_mu": group["mu"],
-        "welch": group["welch"],
-        "bound": group[bound_kind],
+        "n": group.n,
+        "m_dim": group.m_dim,
+        "group_mu": group.mu,
+        "welch": group.welch,
+        "bound": group.to_dict()[bound_kind],
         "bound_kind": bound_kind,
         "random_mu": per_seed,
         "random_median": statistics.median(per_seed),
-        "flags": group["property_flags"],
+        "flags": group.property_flags,
     }
 
 
@@ -281,7 +281,7 @@ def _field_row(label: str, build, build_random, params: tuple, seeds,
                bernoulli: bool) -> dict:
     # build(*params) is the group frame, build_random(*params, seed) a
     # baseline with the same shape
-    group = analyze(build(*params), brute="off").to_dict()
+    group = analyze(build(*params), brute="off")
     per_seed = [
         analyze(build_random(*params, s, bernoulli=bernoulli),
                 brute="off").mu
@@ -291,9 +291,8 @@ def _field_row(label: str, build, build_random, params: tuple, seeds,
 
 def _sl2_row(q: int, m: int, seeds) -> dict:
     rep = sl2_report(q, m, "induced")
-    per_seed = [_gaussian_mu(rep["m_dim"], rep["n"], s) for s in seeds]
-    return _compare_row(f"{rep['m_dim']} x {rep['n']}", rep, "sl2_bound",
-                        per_seed)
+    per_seed = [_gaussian_mu(rep.m_dim, rep.n, s) for s in seeds]
+    return _compare_row(f"{rep.m_dim} x {rep.n}", rep, "sl2_bound", per_seed)
 
 
 def cmd_compare(args) -> int:
@@ -350,11 +349,9 @@ def _bound_row(n: int, m: int, kappa: int, m_requested: int | None,
                log_base: float | None) -> list:
     welch = welch_bound(n, m)
     bg = bound_general_kappa(m, kappa)
-    bmo = bound_m_odd(m, kappa) if kappa % 2 == 0 and m % 2 == 1 else None
+    bmo = bound_m_odd_where_valid(m, kappa)
     rf = random_fourier_bound(n, m)
-    log_n = math.log(n) if log_base is None else math.log(n, log_base)
-    cp = 0.1 / math.sqrt(2.0 * log_n)
-    scp = 1.0 / (164.0 * log_n)
+    cp, scp = property_thresholds(n, log_base)
     snapped = None if m_requested is None else (m != m_requested)
     return [n, m, kappa, m_requested, snapped, welch, bg, bmo, rf, cp, scp]
 

@@ -84,6 +84,13 @@ def bound_m_odd(m: int, kappa: int) -> float:
                      + half * half * b * b) / kappa
 
 
+def bound_m_odd_where_valid(m: int, kappa: int) -> float | None:
+    """bound_m_odd where it is a bound, else None.  -1 lies outside the
+    subgroup exactly when m is odd; with m kappa = n - 1 even (p odd) that
+    puts -1 in the half-way coset, so kappa is even too."""
+    return bound_m_odd(m, kappa) if m % 2 == 1 and kappa % 2 == 0 else None
+
+
 def bound_sqrt_kappa(n: int, m_dim: int, kappa_count: int) -> float:
     """Mean-square argument: mu <= sqrt(#distinct values) * welch."""
     if kappa_count < 1:
@@ -117,20 +124,23 @@ def random_fourier_window(n: int, m_dim: int) -> bool:
     return 16.0 * math.log(n) <= m_dim <= n / 3.0
 
 
-def coherence_properties(mu: float, nu: float, n: int, m_dim: int,
-                         log_base: float | None = None) -> dict:
-    """Flags for the two coherence-property thresholds.
-
-    Both require nu <= mu/sqrt(m); the worst-case thresholds are
-    0.1/sqrt(2 log n) and 1/(164 log n).  Logs are natural by default;
-    pass log_base for base-2/base-10 sensitivity.
-    """
+def property_thresholds(n: int, log_base: float | None = None) -> tuple:
+    """The worst-case coherence thresholds (0.1/sqrt(2 log n),
+    1/(164 log n)) of the coherence and the strong coherence property.
+    Logs are natural by default; pass log_base for base-2/base-10
+    sensitivity."""
     if n < 2:
         raise BadShape(f"need n >= 2, got {n}")
     log_n = math.log(n) if log_base is None else math.log(n, log_base)
+    return 0.1 / math.sqrt(2.0 * log_n), 1.0 / (164.0 * log_n)
+
+
+def coherence_properties(mu: float, nu: float, n: int, m_dim: int,
+                         log_base: float | None = None) -> dict:
+    """Flags for the two coherence properties: each requires
+    nu <= mu/sqrt(m) and mu at most its property_thresholds value."""
+    cp_threshold, scp_threshold = property_thresholds(n, log_base)
     nu_ok = nu <= mu / math.sqrt(m_dim)
-    cp_threshold = 0.1 / math.sqrt(2.0 * log_n)
-    scp_threshold = 1.0 / (164.0 * log_n)
     return {
         "log_base": "e" if log_base is None else log_base,
         "nu_leq_mu_over_sqrt_dim": bool(nu_ok),
@@ -339,26 +349,29 @@ def tightness_residual(cf: ComplexFrame) -> float:
 
 @dataclass
 class CoherenceReport:
-    """Everything the analyzer determined about one frame."""
+    """Everything the analyzer determined about one frame.  Fields a
+    construction has no value for stay None; its own keys ride in extra,
+    which to_dict merges at the top level."""
 
     n: int
     m_dim: int
     mu: float
     nu: float
     welch: float
-    bound_general: float | None
-    bound_m_odd: float | None
-    bound_sqrt_kappa: float | None
-    tightness_residual: float | None
     distinct_values: list
     distinct_magnitudes: list
     gram_offdiag_mean_sq: float
     property_flags: dict
     provenance: dict
     kappa: int | None = None
+    bound_general: float | None = None
+    bound_m_odd: float | None = None
+    bound_sqrt_kappa: float | None = None
+    tightness_residual: float | None = None
     random_fourier: float | None = None
     random_fourier_window_ok: bool | None = None
     paths: dict = field(default_factory=dict)
+    extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -385,14 +398,13 @@ class CoherenceReport:
             "property_flags": self.property_flags,
             "paths": self.paths,
             "provenance": self.provenance,
+            **self.extra,
         }
 
 
 def _magnitude_census(distinct_values, tol=CLUSTER_TOL):
     # the census magnitudes, clustered like the values and reported at the
     # tol grid point nearest each cluster's mean
-    if not distinct_values:
-        return []
     mags, counts = cluster_complex(
         np.abs(np.array([v for v, _ in distinct_values])),
         weights=[c for _, c in distinct_values], tol=tol)
@@ -403,6 +415,42 @@ def _magnitude_census(distinct_values, tol=CLUSTER_TOL):
 def _census_mean_sq(distinct_values, n: int) -> float:
     total = sum(c * (abs(v) ** 2) for v, c in distinct_values)
     return float(total / (n * (n - 1)))
+
+
+def _census_report(n: int, m_dim: int, mu: float, nu: float, census: list,
+                   log_base: float | None = None,
+                   cluster_tol: float = CLUSTER_TOL,
+                   mean_sq: float | None = None, kappa: int | None = None,
+                   **fields) -> CoherenceReport:
+    # the tail every construction ends in: from the census of (value,
+    # ordered-pair count) the magnitude census, the mean square (unless
+    # the Gram gave it), the Welch bound and the property flags; the
+    # subgroup index kappa adds the coset-sum bounds, and fields fills in
+    # the rest of the report
+    if sum(c for _, c in census) != n * (n - 1):
+        raise InvariantViolation("census multiplicities do not cover all "
+                                 "ordered pairs")
+    magnitudes = _magnitude_census(census, tol=cluster_tol)
+    flags = coherence_properties(mu, nu, n, m_dim, log_base=log_base)
+    flags["equiangular"] = len(magnitudes) == 1
+    if kappa is not None:
+        fields.update(bound_general=bound_general_kappa(m_dim, kappa),
+                      bound_m_odd=bound_m_odd_where_valid(m_dim, kappa),
+                      bound_sqrt_kappa=bound_sqrt_kappa(n, m_dim, kappa))
+    return CoherenceReport(
+        n=n,
+        m_dim=m_dim,
+        mu=float(mu),
+        nu=float(nu),
+        welch=welch_bound(n, m_dim),
+        distinct_values=census,
+        distinct_magnitudes=magnitudes,
+        gram_offdiag_mean_sq=(_census_mean_sq(census, n) if mean_sq is None
+                              else mean_sq),
+        property_flags=flags,
+        kappa=kappa,
+        **fields,
+    )
 
 
 def _judge_gap(paths: dict, key: str, fast: float, dense: float) -> None:
@@ -427,9 +475,10 @@ def analyze(frame, brute: str = "auto", log_base: float | None = None,
     and "on" add the dense checks on the normalized matrix (nu, the
     tightness residual, and up to BRUTE_CAP columns the O(n^2 m) Gram
     oracle for mu; "on" is an error above that cap), and their values are
-    the ones reported.  Frames without multiplier structure get the dense
-    route at every level.  Where both routes ran, the gaps are recorded
-    under paths, and a gap above ROUTE_TOL raises InvariantViolation.
+    the ones reported.  Frames without multiplier structure need the Gram
+    oracle, so where it cannot run they are refused before any dense
+    work.  Where both routes ran, the gaps are recorded under paths, and a
+    gap above ROUTE_TOL raises InvariantViolation.
     """
     if brute not in ("on", "off", "auto"):
         raise BadShape(f"brute must be on/off/auto, got {brute!r}")
@@ -439,14 +488,24 @@ def analyze(frame, brute: str = "auto", log_base: float | None = None,
     if n_cols < 2:
         raise BadShape("need at least two columns to measure coherence")
 
-    paths: dict = {}
-    fast_mu = fast_nu = None
-    census = []
-    kappa = None
-    tightness = None
-
     structured = isinstance(frame, ExponentFrame) and frame.ctx is not None \
         and frame.full_columns and frame.multiplier_values is not None
+    cf = frame if isinstance(frame, ComplexFrame) else None
+    fits = cf is not None or m_rows * n_cols <= COMPLEX_CELL_CAP
+    if brute == "on" and n_cols > BRUTE_CAP:
+        raise ResourceCap(f"brute force requested for n = {n_cols} "
+                          f"> {BRUTE_CAP}")
+    if brute == "on" and not fits:
+        raise ResourceCap("frame too large to materialize for brute force")
+    run_brute = brute == "on" or (brute == "auto" and n_cols <= BRUTE_CAP
+                                  and fits)
+    if not (structured or run_brute):
+        raise BadShape("no analysis path available: frame carries no "
+                       "multiplier structure and brute force did not run")
+
+    paths: dict = {}
+    census = []
+    kappa = fast_mu = fast_nu = tightness = None
     if structured:
         # c at log z is periodic with period kappa for a subgroup, so its
         # first period, each value taken by n(n-1)/period ordered pairs,
@@ -470,78 +529,32 @@ def analyze(frame, brute: str = "auto", log_base: float | None = None,
         distinct = len(np.unique(frame.multiplier_values)) == m_rows
         tightness = 0.0 if distinct else n_cols / m_rows
 
-    cf = None
-    if isinstance(frame, ComplexFrame):
-        cf = frame
-    elif (brute != "off" or not structured) \
-            and m_rows * n_cols <= COMPLEX_CELL_CAP:
+    if cf is None and brute != "off" and fits:
         cf = materialize(frame, normalize=True)
-
-    exact_nu = None
+    nu = fast_nu
     if cf is not None:
-        exact_nu = average_coherence(cf)
+        nu = average_coherence(cf)
         tightness = tightness_residual(cf)
-        paths["nu_bruteforce"] = exact_nu
-        if fast_nu is not None:
-            _judge_gap(paths, "nu_gap", fast_nu, exact_nu)
+        paths["nu_bruteforce"] = nu
+        if structured:
+            _judge_gap(paths, "nu_gap", fast_nu, nu)
 
-    if brute == "on" and n_cols > BRUTE_CAP:
-        raise ResourceCap(f"brute force requested for n = {n_cols} "
-                          f"> {BRUTE_CAP}")
-    brute_mu = None
-    mean_sq = None
-    run_brute = brute == "on" or (brute == "auto" and n_cols <= BRUTE_CAP
-                                  and cf is not None)
+    mu, mean_sq = fast_mu, None
     if run_brute:
-        if cf is None:
-            raise ResourceCap("frame too large to materialize for brute force")
         bf = coherence_bruteforce(cf, cluster_tol=cluster_tol,
-                                  census=fast_mu is None)
-        brute_mu = bf["mu"]
-        mean_sq = bf["gram_offdiag_mean_sq"]
-        paths["mu_bruteforce"] = brute_mu
-        if not census:
+                                  census=not structured)
+        mu, mean_sq = bf["mu"], bf["gram_offdiag_mean_sq"]
+        paths["mu_bruteforce"] = mu
+        if structured:
+            _judge_gap(paths, "mu_gap", fast_mu, mu)
+        else:
             census = bf["distinct_values"]
             paths["census_source"] = "gram"
-        if fast_mu is not None:
-            _judge_gap(paths, "mu_gap", fast_mu, brute_mu)
 
-    if brute_mu is None and fast_mu is None:
-        raise BadShape("no analysis path available: frame carries no "
-                       "multiplier structure and brute force did not run")
-    mu = brute_mu if brute_mu is not None else fast_mu
-    nu = exact_nu if exact_nu is not None else fast_nu
-    if mean_sq is None:
-        mean_sq = _census_mean_sq(census, n_cols)
-
-    welch = welch_bound(n_cols, m_rows)
-    bg = bmo = bsk = None
-    if kappa is not None:
-        bg = bound_general_kappa(m_rows, kappa)
-        bsk = bound_sqrt_kappa(n_cols, m_rows, kappa)
-        bmo = bound_m_odd(m_rows, kappa) if kappa % 2 == 0 else None
-
-    magnitudes = _magnitude_census(census, tol=cluster_tol)
-    flags = coherence_properties(mu, nu, n_cols, m_rows, log_base=log_base)
-    flags["equiangular"] = len(magnitudes) == 1
-
-    return CoherenceReport(
-        n=n_cols,
-        m_dim=m_rows,
-        mu=float(mu),
-        nu=float(nu),
-        welch=welch,
-        bound_general=bg,
-        bound_m_odd=bmo,
-        bound_sqrt_kappa=bsk,
-        tightness_residual=tightness,
-        distinct_values=census,
-        distinct_magnitudes=magnitudes,
-        gram_offdiag_mean_sq=mean_sq,
-        property_flags=flags,
-        provenance=dict(frame.provenance),
-        kappa=kappa,
+    return _census_report(
+        n_cols, m_rows, mu, nu, census, log_base=log_base,
+        cluster_tol=cluster_tol, mean_sq=mean_sq, kappa=kappa,
+        tightness_residual=tightness, provenance=dict(frame.provenance),
         random_fourier=random_fourier_bound(n_cols, m_rows),
         random_fourier_window_ok=random_fourier_window(n_cols, m_rows),
-        paths=paths,
-    )
+        paths=paths)

@@ -12,15 +12,15 @@ exist.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coherence import (
+    CoherenceReport,
+    _census_report,
     bound_general_kappa,
     cluster_complex,
-    coherence_properties,
     multiplier_sums,
     welch_bound,
 )
@@ -103,26 +103,38 @@ def _validate_cuspidal(q: int, m: int):
         raise MNotOddDivisor(f"m = {m} must be an odd divisor of {q}")
 
 
+def _degree(q: int, m: int, mode: str) -> int:
+    # validate (q, m) for the mode; the representation degree is q -+ 1
+    if mode == "induced":
+        _validate_induced(q, m)
+        return q + 1
+    if mode == "cuspidal":
+        _validate_cuspidal(q, m)
+        return q - 1
+    raise ValueError(f"mode must be induced or cuspidal, got {mode!r}")
+
+
 def a2m_values(p: int, m: int) -> np.ndarray:
     """The order-2m subgroup of (Z/pZ)* as residues, via the field layer."""
     ctx = build_field(p, 1)
     return subgroup_of_order(ctx, 2 * m).element_values.astype(np.int64)
 
 
-def _class_sums(p: int, m: int) -> np.ndarray:
-    # s_l = sum_{a in A2m} w_p**(l a) for l = 1..p-1.  Tr is the identity
-    # on the prime field, so s_l = 2m c_l with c the multiplier sums of
-    # A2m, read at log l.
+def _class_sums(p: int, m: int) -> tuple:
+    # A2m and s_l = sum_{a in A2m} w_p**(l a) for l = 1..p-1.  Tr is the
+    # identity on the prime field, so s_l = 2m c_l with c the multiplier
+    # sums of A2m, read at log l.
     ctx = build_field(p, 1)
-    c = multiplier_sums(ctx, subgroup_of_order(ctx, 2 * m).element_values)
-    return 2 * m * c[ctx.log_of_value[1:]]
+    a2m = subgroup_of_order(ctx, 2 * m).element_values
+    c = multiplier_sums(ctx, a2m)
+    return a2m, 2 * m * c[ctx.log_of_value[1:]]
 
 
-def _stacked_coherence(q: int, m: int, deg: int) -> dict:
+def _stacked_coherence(q: int, m: int, deg: int, sums: np.ndarray) -> dict:
     # m stacked representations of degree deg = q -+ 1: the unipotent class
     # pins the inner product 1/deg, the torus classes carrying characters
     # mod p = q +- 1 = 2q - deg give |s_l| / (m deg) for l = 1..p-1
-    w = np.abs(_class_sums(2 * q - deg, m)) / (m * deg)
+    w = np.abs(sums) / (m * deg)
     u = 1.0 / deg
     return {
         "mu": float(max(u, w.max())) if len(w) else u,
@@ -141,7 +153,12 @@ def sl2_induced_coherence(q: int, m: int) -> dict:
     classes contribute zero.
     """
     _validate_induced(q, m)
-    return _stacked_coherence(q, m, q + 1)
+    return _stacked_coherence(q, m, q + 1, _class_sums(q - 1, m)[1])
+
+
+def _induced_bound(q: int, m: int) -> float:
+    kappa = (q - 2) // (2 * m)
+    return max(1.0, 2.0 * bound_general_kappa(2 * m, kappa)) / (q + 1)
 
 
 def sl2_induced_bound(q: int, m: int) -> float:
@@ -154,116 +171,69 @@ def sl2_induced_bound(q: int, m: int) -> float:
     factor 2 in front of the coset-sum bound.
     """
     _validate_induced(q, m)
-    kappa = (q - 2) // (2 * m)
-    return max(1.0, 2.0 * bound_general_kappa(2 * m, kappa)) / (q + 1)
+    return _induced_bound(q, m)
 
 
 def sl2_cuspidal_coherence(q: int, m: int) -> dict:
     """Mirror construction from the m cuspidal representations; nonsplit
     classes carry the character sums, split classes vanish."""
     _validate_cuspidal(q, m)
-    return _stacked_coherence(q, m, q - 1)
+    return _stacked_coherence(q, m, q - 1, _class_sums(q + 1, m)[1])
 
 
 def sl2_welch(q: int, m: int, mode: str) -> float:
     """Welch bound at the frame shape n = q(q+1)(q-1), dim = m(q+-1)**2."""
-    if mode == "induced":
-        _validate_induced(q, m)
-        dim = m * (q + 1) ** 2
-    elif mode == "cuspidal":
-        _validate_cuspidal(q, m)
-        dim = m * (q - 1) ** 2
-    else:
-        raise ValueError(f"mode must be induced or cuspidal, got {mode!r}")
-    return welch_bound(q ** 3 - q, dim)
+    return welch_bound(q ** 3 - q, m * _degree(q, m, mode) ** 2)
 
 
 def sl2_report(q: int, m: int, mode: str,
-               log_base: float | None = None) -> dict:
-    """Coherence report dict in the same schema as frame reports.
+               log_base: float | None = None) -> CoherenceReport:
+    """Coherence report of the SL2(F_q) frame, the same report type as
+    frame reports, with the SL2 keys mode, sl2_bound, u_value, w_values.
 
     The census enumerates the signed class-function inner products with
     ordered-pair multiplicities n * class size.  nu is the exact group
     frame value 1/(n-1) (row sums of the Gram are -1 because all stacked
     characters are nontrivial irreducibles).
     """
+    deg = _degree(q, m, mode)
+    p = 2 * q - deg
+    a2m, sums = _class_sums(p, m)
+    coh = _stacked_coherence(q, m, deg, sums)
+    n = coh["n"]
     # cuspidal characters are -1 on the unipotent class and minus the torus
     # sums, so every cuspidal inner product carries a minus sign
     if mode == "induced":
-        coh = sl2_induced_coherence(q, m)
-        p = q - 1
-        deg = q + 1
-        sign = 1.0
-        sl2_bound = sl2_induced_bound(q, m)
-        carrier, silent = "split", "nonsplit"
-    elif mode == "cuspidal":
-        coh = sl2_cuspidal_coherence(q, m)
-        p = q + 1
-        deg = q - 1
-        sign = -1.0
-        sl2_bound = None
-        carrier, silent = "nonsplit", "split"
+        sign, carrier, silent = 1.0, "split", "nonsplit"
+        sl2_bound = _induced_bound(q, m)
     else:
-        raise ValueError(f"mode must be induced or cuspidal, got {mode!r}")
-
-    n, dim = coh["n"], coh["dim"]
-    nu = 1.0 / (n - 1)
-    u_signed = sign / deg
-    signed = sign * _class_sums(p, m)[:(p - 1) // 2] / (m * deg)
+        sign, carrier, silent = -1.0, "nonsplit", "split"
+        sl2_bound = None
+    signed = sign * sums[:(p - 1) // 2] / (m * deg)
 
     sizes = {kind: (count, size)
              for kind, count, size in sl2_class_data(q).families}
-    values = [u_signed] + signed.tolist() + [0.0]
+    values = [sign / deg] + signed.tolist() + [0.0]
     weights = [n * (q * q - 1)]
     weights += [n * sizes[carrier][1]] * len(signed)
     weights += [n * sizes[silent][0] * sizes[silent][1]]
     reps, counts = cluster_complex(np.array(values, dtype=np.complex128),
                                    weights=weights)
-    census = list(zip(reps.tolist(), counts.tolist()))
-    if sum(c for _, c in census) != n * (n - 1):
-        raise InvariantViolation("sl2 census multiplicities do not cover "
-                                 "all ordered pairs")
-
-    mags, mcounts = cluster_complex(np.abs(np.array(
-        [v for v, _ in census])).astype(np.complex128),
-        weights=[c for _, c in census])
-    welch = sl2_welch(q, m, mode)
-    flags = coherence_properties(coh["mu"], nu, n, dim, log_base=log_base)
-    flags["equiangular"] = len(mags) == 1
-    return {
-        "schema_version": 1,
-        "mode": f"sl2-{mode}",
-        "n": n,
-        "m_dim": dim,
-        "kappa": None,
-        "mu": coh["mu"],
-        "nu": nu,
-        "welch": welch,
-        "bound_general": None,
-        "bound_m_odd": None,
-        "bound_sqrt_kappa": None,
-        "sl2_bound": sl2_bound,
-        "u_value": coh["u_value"],
-        "w_values": [float(x) for x in coh["w_values"]],
-        "random_fourier": None,
-        "random_fourier_window_ok": None,
-        "tightness_residual": None,
-        "gram_offdiag_mean_sq": float(sum(
-            c * abs(v) ** 2 for v, c in census) / (n * (n - 1))),
-        "distinct_values": [
-            {"re": float(v.real), "im": float(v.imag), "count": int(c)}
-            for v, c in census],
-        "distinct_magnitudes": [
-            {"value": float(v.real), "count": int(c)}
-            for v, c in zip(mags, mcounts)],
-        "property_flags": flags,
-        "paths": {"census_source": "class-functions",
-                  "nu_source": "group-frame-identity"},
-        "provenance": {
+    return _census_report(
+        n, coh["dim"], coh["mu"], 1.0 / (n - 1),
+        list(zip(reps.tolist(), counts.tolist())), log_base=log_base,
+        paths={"census_source": "class-functions",
+               "nu_source": "group-frame-identity"},
+        provenance={
             "construction": f"sl2-{mode}",
             "q": q,
             "m": m,
             "character_modulus": p,
-            "A2m": [int(v) for v in sorted(a2m_values(p, m).tolist())],
+            "A2m": sorted(int(v) for v in a2m),
         },
-    }
+        extra={
+            "mode": f"sl2-{mode}",
+            "sl2_bound": sl2_bound,
+            "u_value": coh["u_value"],
+            "w_values": [float(x) for x in coh["w_values"]],
+        })

@@ -197,10 +197,10 @@ def test_criterion_03_sl2_rows():
 
     bad = []
     for q, m, mu_pin, w_pin, rep in reports:
-        if abs(rep["mu"] - mu_pin) > 5e-4:
-            bad.append(f"mu(q={q},m={m}) = {rep['mu']:.6f} != {mu_pin}")
-        if abs(rep["welch"] - w_pin) > 5e-4:
-            bad.append(f"welch(q={q},m={m}) = {rep['welch']:.6f} != {w_pin}")
+        if abs(rep.mu - mu_pin) > 5e-4:
+            bad.append(f"mu(q={q},m={m}) = {rep.mu:.6f} != {mu_pin}")
+        if abs(rep.welch - w_pin) > 5e-4:
+            bad.append(f"welch(q={q},m={m}) = {rep.welch:.6f} != {w_pin}")
     ok = not bad and elapsed < 0.5
     _verdict(3, ok, bad[0] if bad else
              f"3 rows within 5e-4 (mu and welch), {elapsed * 1e3:.1f} ms")

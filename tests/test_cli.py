@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from groupframes.cli import main
-from groupframes.frames import load_frame
+from groupframes.coherence import analyze
+from groupframes.frames import build_field_frame, load_frame
+from groupframes.gf import is_prime
 
 
 def read(path):
@@ -193,6 +195,21 @@ def test_exit_codes(tmp_path, capsys):
     assert json.loads(err[0])["error"] == "UsageError"
 
 
+def test_analyze_sign_csv_brute_off_refused(tmp_path, capsys):
+    # a bare sign CSV carries no multiplier structure, so the character
+    # sums cannot run and "off" forbids the Gram oracle
+    out = str(tmp_path / "signs.csv")
+    assert main(["construct", "--field", "2", "4", "--m", "5",
+                 "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "--in", out, "--brute", "off"]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "BadShape"
+    assert captured.out == ""
+
+
 def test_compare_table_ii(tmp_path):
     out_json = str(tmp_path / "t2.json")
     out_csv = str(tmp_path / "t2.csv")
@@ -258,6 +275,32 @@ def test_bounds_kappa_sweep(tmp_path):
     assert abs(float(row[bg_col]) - 0.0635386) < 1e-6
     for cells in rows.values():
         assert float(cells[welch_col]) <= float(cells[bg_col])
+
+
+def test_bounds_agree_with_reports(tmp_path):
+    # the thresholds and bound_m_odd cells are the values a report of the
+    # frame at that (n, m) carries, or blank where the report has None
+    out = str(tmp_path / "b2.csv")
+    assert main(["bounds", "--kappa", "2", "--n-min", "3", "--n-max", "60",
+                 "--log-base", "2", "--out", out]) == 0
+    rows = list(csv.reader(io.StringIO(read(out).decode())))
+    col = {k: i for i, k in enumerate(rows[0])}
+    checked = 0
+    for cells in rows[1:]:
+        n, m = int(cells[col["n"]]), int(cells[col["m"]])
+        assert (cells[col["bound_m_odd"]] == "") == (m % 2 == 0)
+        if not is_prime(n):
+            continue
+        rep = analyze(build_field_frame(n, 1, m), brute="off", log_base=2)
+        flags = rep.property_flags
+        for key, name in (("coherence_property_threshold", "cp_mu_threshold"),
+                          ("strong_property_threshold", "scp_mu_threshold")):
+            assert cells[col[key]] == f"{flags[name]:.6g}"
+        bmo = rep.bound_m_odd
+        assert cells[col["bound_m_odd"]] == ("" if bmo is None
+                                             else f"{bmo:.6g}")
+        checked += 1
+    assert checked == 16
 
 
 def test_bounds_regime_snaps(tmp_path):

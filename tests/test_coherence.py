@@ -7,6 +7,7 @@ import pytest
 
 import groupframes.coherence as coherence
 from groupframes.coherence import (
+    _census_report,
     _magnitude_census,
     analyze,
     average_coherence,
@@ -46,6 +47,7 @@ from groupframes.frames import (
     materialize,
 )
 from groupframes.gf import build_field, is_prime
+from groupframes.sl2 import sl2_report
 from groupframes.subgroups import parity_of_minus_one, subgroup_of_order
 
 
@@ -448,15 +450,76 @@ def test_analyze_brute_flag_validation():
         analyze(big, brute="on")
 
 
+BASE_KEYS = {"schema_version", "n", "m_dim", "kappa", "mu", "nu", "welch",
+             "bound_general", "bound_m_odd", "bound_sqrt_kappa",
+             "random_fourier", "random_fourier_window_ok",
+             "tightness_residual", "gram_offdiag_mean_sq", "distinct_values",
+             "distinct_magnitudes", "property_flags", "paths", "provenance"}
+SL2_KEYS = {"mode", "sl2_bound", "u_value", "w_values"}
+
+
 def test_analyze_report_dict_schema():
-    d = analyze(build_field_frame(3, 3, 13), brute="on").to_dict()
-    for key in ("schema_version", "n", "m_dim", "kappa", "mu", "nu",
-                "welch", "bound_general", "bound_m_odd", "bound_sqrt_kappa",
-                "random_fourier", "random_fourier_window_ok",
-                "tightness_residual", "gram_offdiag_mean_sq",
-                "distinct_values", "distinct_magnitudes", "property_flags",
-                "paths", "provenance"):
-        assert key in d
-    assert d["schema_version"] == 1
-    assert d["distinct_values"][0].keys() == {"re", "im", "count"}
-    assert d["distinct_magnitudes"][0].keys() == {"value", "count"}
+    # frame and SL2 reports (both modes) share one schema; SL2 adds its
+    # own four keys
+    for rep, extra in ((analyze(build_field_frame(3, 3, 13), brute="on"),
+                        set()),
+                       (sl2_report(8, 3, "induced"), SL2_KEYS),
+                       (sl2_report(16, 1, "cuspidal"), SL2_KEYS)):
+        d = rep.to_dict()
+        assert d.keys() == BASE_KEYS | extra
+        assert d["schema_version"] == 1
+        assert d["distinct_values"][0].keys() == {"re", "im", "count"}
+        assert d["distinct_magnitudes"][0].keys() == {"value", "count"}
+        assert sum(e["count"] for e in d["distinct_magnitudes"]) \
+            == d["n"] * (d["n"] - 1)
+
+
+def test_census_report_checks_total():
+    # the multiplicities must cover the n(n-1) ordered pairs exactly
+    census = [(0.5 + 0j, 12), (-0.25 + 0j, 8)]
+    assert _census_report(5, 2, 0.5, 0.25, census, provenance={}).n == 5
+    for bad in ([(0.5 + 0j, 12), (-0.25 + 0j, 7)],
+                [(0.5 + 0j, 12), (-0.25 + 0j, 9)]):
+        with pytest.raises(InvariantViolation, match="ordered pairs"):
+            _census_report(5, 2, 0.5, 0.25, bad, provenance={})
+
+
+def test_bound_m_odd_reported_only_where_valid():
+    # -1 must lie outside the subgroup, i.e. m odd (and so kappa even);
+    # wherever the bound is reported it holds
+    reported, cases = 0, 0
+    for p, r in _fields(1024):
+        ctx = build_field(p, r)
+        order = ctx.n - 1
+        for m in [d for d in range(1, order + 1) if order % d == 0]:
+            rep = analyze(build_field_frame(p, r, m, ctx=ctx), brute="off")
+            cases += 1
+            if m % 2 == 0 or rep.kappa % 2 == 1:
+                assert rep.bound_m_odd is None, (p, r, m)
+                continue
+            assert rep.bound_m_odd == bound_m_odd(m, rep.kappa)
+            assert rep.mu <= rep.bound_m_odd + 1e-9, (p, r, m)
+            reported += 1
+    assert cases == 2162
+    assert reported == 747
+    # the first frame that reported it wrongly: GF(5), m = 2, mu > bound
+    rep = analyze(build_field_frame(5, 1, 2), brute="off")
+    assert rep.bound_m_odd is None and rep.mu > bound_m_odd(2, 2)
+
+
+def test_analyze_off_refuses_unstructured_before_dense_work(monkeypatch):
+    # a sign frame without field context and a materialized frame carry
+    # no multiplier structure: "off" refuses them before any dense work
+    field_frame = build_hadamard_frame(4, 5)
+    sign_frame = ExponentFrame(p=2, exps=field_frame.exps, provenance={})
+    complex_frame = materialize(field_frame)
+
+    def dense(*args, **kwargs):
+        raise AssertionError("dense work on a refused frame")
+
+    for name in ("materialize", "average_coherence", "tightness_residual",
+                 "coherence_bruteforce"):
+        monkeypatch.setattr(coherence, name, dense)
+    for frame in (sign_frame, complex_frame):
+        with pytest.raises(BadShape, match="no analysis path"):
+            analyze(frame, brute="off")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import groupframes.sl2 as sl2
 from groupframes.errors import (
     InvariantViolation,
     MNotOddDivisor,
@@ -139,7 +140,7 @@ def test_w_value_symmetry():
 
 
 def test_report_schema_and_census():
-    rep = sl2_report(8, 3, "induced")
+    rep = sl2_report(8, 3, "induced").to_dict()
     assert rep["schema_version"] == 1
     assert rep["mode"] == "sl2-induced"
     assert rep["n"] == 504 and rep["m_dim"] == 243
@@ -152,7 +153,7 @@ def test_report_schema_and_census():
 
 
 def test_report_cuspidal_mode():
-    rep = sl2_report(4, 1, "cuspidal")
+    rep = sl2_report(4, 1, "cuspidal").to_dict()
     assert rep["mode"] == "sl2-cuspidal"
     assert rep["m_dim"] == 9
     assert rep["sl2_bound"] is None
@@ -164,7 +165,7 @@ def test_report_cuspidal_mode():
 
 
 def test_report_mean_square_consistency():
-    rep = sl2_report(8, 1, "induced")
+    rep = sl2_report(8, 1, "induced").to_dict()
     direct = sum(e["count"] * (e["re"] ** 2 + e["im"] ** 2)
                  for e in rep["distinct_values"])
     n = rep["n"]
@@ -176,3 +177,25 @@ def test_report_mean_square_consistency():
 def test_report_bad_mode():
     with pytest.raises(ValueError):
         sl2_report(4, 1, "both")
+
+
+@pytest.mark.parametrize("q, m, mode", [(8, 1, "induced"), (8192, 1, "induced"),
+                                        (65536, 1, "cuspidal")])
+def test_report_builds_field_once(monkeypatch, q, m, mode):
+    # one field build and one character-sum kernel call per report
+    calls = {"build_field": 0, "multiplier_sums": 0}
+
+    def counted(name):
+        real = getattr(sl2, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(sl2, name, counted(name))
+    rep = sl2_report(q, m, mode)
+    assert calls == {"build_field": 1, "multiplier_sums": 1}
+    assert rep.provenance["A2m"] == sorted(
+        int(v) for v in a2m_values(rep.provenance["character_modulus"], m))
