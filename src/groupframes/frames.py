@@ -14,6 +14,7 @@ w**exps = 1 - 2 exps, formed only when a sign CSV is written.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,7 @@ from .errors import (
     NotPrime,
     ResourceCap,
     TooManyRows,
+    ValidationError,
 )
 from .gf import FieldCtx, build_field, is_prime
 from .subgroups import SubgroupSpec, subgroup_of_order
@@ -96,7 +98,7 @@ def _exponent_rows(ctx: FieldCtx, multiplier_values) -> np.ndarray:
     m, n, order = len(mv), ctx.n, ctx.n - 1
     _check_cells(m, n, EXP_CELL_CAP)
     exps = np.zeros((m, n), dtype=ctx.coeff_dtype)
-    trace = ctx.trace_of_exp.astype(ctx.coeff_dtype)
+    trace = ctx.trace_of_exp
     windows = sliding_window_view(np.concatenate((trace, trace[:-1])), order)
     tgt = np.flatnonzero(mv != 0)
     logs = ctx.log_of_value[mv[tgt]]
@@ -252,6 +254,14 @@ def materialize(frame: ExponentFrame, normalize: bool = True) -> ComplexFrame:
 # file formats
 # ---------------------------------------------------------------------------
 
+def _write_int_rows(fh, rows: np.ndarray) -> None:
+    # one C-level %-format per row, the same text as formatting each cell
+    # with str(int(e)) and joining with commas
+    line = ",".join(["%d"] * rows.shape[1]) + "\n"
+    for row in rows:
+        fh.write(line % tuple(row.tolist()))
+
+
 def save_exponent_csv(frame: ExponentFrame, path: str) -> None:
     """CSV of integer exponents with a JSON header line (leading '#')."""
     header = {
@@ -269,8 +279,7 @@ def save_exponent_csv(frame: ExponentFrame, path: str) -> None:
         header["multiplier_values"] = [int(v) for v in frame.multiplier_values]
     with open(path, "w", newline="\n") as fh:
         fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
-        for row in frame.exps:
-            fh.write(",".join(str(int(e)) for e in row) + "\n")
+        _write_int_rows(fh, frame.exps)
 
 
 def save_sign_csv(frame: ExponentFrame, path: str) -> None:
@@ -279,8 +288,7 @@ def save_sign_csv(frame: ExponentFrame, path: str) -> None:
     if frame.p != 2:
         raise BadShape(f"sign CSV needs p = 2, got p = {frame.p}")
     with open(path, "w", newline="\n") as fh:
-        for row in 1 - 2 * frame.exps.astype(np.int64):
-            fh.write(",".join(str(int(e)) for e in row) + "\n")
+        _write_int_rows(fh, 1 - 2 * frame.exps.astype(np.int64))
 
 
 def save_complex_csv(cf: ComplexFrame, path: str) -> None:
@@ -309,6 +317,48 @@ def _check_stored_rows(stored: np.ndarray, expected: np.ndarray) -> None:
                               f"{int(expected[i, j])}")
 
 
+def _first_bad_line(path: str, first_line: int) -> str | None:
+    # np.loadtxt counts data rows, not file lines: find the line it
+    # stopped at, splitting cells as it does
+    width = None
+    with open(path, errors="replace") as fh:
+        for no, line in enumerate(fh, 1):
+            cells = line.split("#")[0].strip().split(",")
+            if no < first_line or cells == [""]:
+                continue
+            for cell in cells:
+                try:
+                    int(cell)
+                except ValueError:
+                    return f"line {no}: {cell.strip()!r} is not an integer"
+            if width not in (None, len(cells)):
+                return f"line {no}: {len(cells)} cells, earlier lines {width}"
+            width = len(cells)
+    return None
+
+
+def _read_cells(fh, path: str, first_line: int) -> np.ndarray:
+    try:
+        with warnings.catch_warnings():
+            # an empty file warns; it is refused below
+            warnings.simplefilter("ignore", UserWarning)
+            cells = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2)
+    except ValueError as exc:
+        raise ValidationError(
+            f"{path}: {_first_bad_line(path, first_line) or exc}") from None
+    if cells.size == 0:
+        raise ValidationError(f"{path}: no frame cells")
+    return cells
+
+
+def _header_int(header: dict, key: str, path: str) -> int:
+    value = header.get(key)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{path}: header needs an integer {key!r}, "
+                              f"got {value!r}")
+    return value
+
+
 def load_frame(path: str):
     """Read back an exponent CSV (with header) or a bare sign CSV.
 
@@ -318,42 +368,60 @@ def load_frame(path: str):
     frame, the stored exponents must equal the rows they give, or
     ContextMismatch names the first cell that differs.  A bare sign CSV
     becomes a p = 2 frame without field context, which only supports the
-    brute-force path.
+    brute-force path.  A file that cannot be read or parsed raises
+    ValidationError naming the line or header key at fault.
     """
-    with open(path) as fh:
-        first = fh.readline()
-        if first.startswith("#"):
-            header = json.loads(first[1:].strip())
-            exps = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2)
-            p = int(header["p"])
-            ctx = subgroup = None
-            mv = None
-            if "r" in header:
-                ctx = build_field(p, int(header["r"]))
-                if "modulus" in header and \
-                        list(ctx.modulus) != list(header["modulus"]):
-                    raise ContextMismatch("stored modulus does not match "
-                                          "canonical construction")
-                if header.get("construction") == "field-subgroup" or \
-                        header.get("construction") == "harmonic" or \
-                        header.get("construction") == "hadamard-rows":
-                    subgroup = subgroup_of_order(ctx, int(header["m"]))
-                    mv = subgroup.element_values
-                elif "multiplier_values" in header:
-                    mv = np.array(header["multiplier_values"], dtype=np.int64)
-                    if mv.ndim != 1 or not len(mv) or mv.min() < 0 \
-                            or mv.max() >= ctx.n:
-                        raise BadShape(f"multiplier_values must be a list of "
-                                       f"field values in [0, {ctx.n})")
-            full_columns = bool(header.get("full_columns", False))
-            if mv is not None and full_columns:
-                _check_stored_rows(exps, _exponent_rows(ctx, mv))
-            return ExponentFrame(
-                p=p, exps=exps.astype(np.int64), provenance=header, ctx=ctx,
-                subgroup=subgroup, multiplier_values=mv,
-                full_columns=full_columns)
-    data = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2)
-    if not np.all(np.isin(data, (-1, 1))):
-        raise BadShape(f"{path}: bare CSV must contain only +-1 entries")
-    return ExponentFrame(p=2, exps=((1 - data) // 2).astype(np.uint8),
-                         provenance={"construction": "loaded-sign-csv"})
+    try:
+        with open(path) as fh:
+            first = fh.readline()
+            if not first.startswith("#"):
+                fh.seek(0)
+                data = _read_cells(fh, path, 1)
+                if not np.all(np.isin(data, (-1, 1))):
+                    raise BadShape(f"{path}: bare CSV must contain only +-1 "
+                                   f"entries")
+                return ExponentFrame(
+                    p=2, exps=((1 - data) // 2).astype(np.uint8),
+                    provenance={"construction": "loaded-sign-csv"})
+            header = json.loads(first[1:])
+            if not isinstance(header, dict):
+                raise ValidationError(f"{path}: line 1: header is not a "
+                                      f"JSON object")
+            exps = _read_cells(fh, path, 2)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: line 1: header is not valid JSON "
+                              f"({exc.msg})") from None
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path}: line 1 is not text") from None
+    p = _header_int(header, "p", path)
+    bad = np.argwhere((exps < 0) | (exps >= p))
+    if len(bad):
+        i, j = (int(v) for v in bad[0])
+        raise BadShape(f"{path}: exponent at (row {i}, column {j}) is "
+                       f"{int(exps[i, j])}, outside [0, {p})")
+    ctx = subgroup = None
+    mv = None
+    if "r" in header:
+        ctx = build_field(p, _header_int(header, "r", path))
+        if "modulus" in header and list(ctx.modulus) != header["modulus"]:
+            raise ContextMismatch("stored modulus does not match "
+                                  "canonical construction")
+        if header.get("construction") in ("field-subgroup", "harmonic",
+                                          "hadamard-rows"):
+            subgroup = subgroup_of_order(ctx, _header_int(header, "m", path))
+            mv = subgroup.element_values
+        elif "multiplier_values" in header:
+            mv = header["multiplier_values"]
+            if not (isinstance(mv, list) and mv and all(
+                    type(v) is int and 0 <= v < ctx.n for v in mv)):
+                raise BadShape(f"multiplier_values must be a list of "
+                               f"field values in [0, {ctx.n})")
+            mv = np.array(mv, dtype=np.int64)
+    full_columns = bool(header.get("full_columns", False))
+    if mv is not None and full_columns:
+        _check_stored_rows(exps, _exponent_rows(ctx, mv))
+    return ExponentFrame(
+        p=p, exps=exps, provenance=header, ctx=ctx, subgroup=subgroup,
+        multiplier_values=mv, full_columns=full_columns)

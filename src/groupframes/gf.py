@@ -8,8 +8,10 @@ smallest monic irreducible of degree r under that value order, and the
 generator is the smallest primitive element under the same order, so a
 given (p, r) always produces the identical field layout.
 
-Construction costs O(p**r * r**2) time and O(p**r * r) memory; after that
-every product, inverse, power and trace is a table lookup.
+Construction costs O(p**r * r) time for p = 2 and O(p**r * r**2) for odd
+p, and O(p**r) memory: value_of_exp and log_of_value are int32, and the
+two trace tables use coeff_dtype, the smallest type that holds 0..p-1.
+After that every product, inverse, power and trace is a table lookup.
 """
 
 from __future__ import annotations
@@ -158,6 +160,30 @@ def _is_irreducible(f, p, r, r_primes):
     return True
 
 
+# rows per block when a linear map is applied to packed values, which
+# bounds the odd-p digit intermediates at a few MiB
+_BLOCK_ROWS = 2 ** 16
+
+
+def _times_packed(values, M, p):
+    """x -> x M (mod p) on packed values x, for the r x r matrix M of a
+    GF(p)-linear map on coefficient row vectors."""
+    r = len(M)
+    if p == 2:
+        # XOR of the images of x's 8-bit chunks, from 256-entry tables
+        bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+        rows = np.vstack((M, np.zeros((-r % 8, r), dtype=np.int64)))
+        out = np.zeros_like(values)
+        for c in range(0, r, 8):
+            image = bits @ rows[c:c + 8] % 2 @ (1 << np.arange(r))
+            out ^= image.astype(np.int32)[(values >> c) & 0xFF]
+        return out
+    powers = np.int64(p) ** np.arange(r)
+    digits = values // powers[:, None] % p
+    # exact in float64: the entries are at most r (p - 1)**2 < 2**53
+    return powers @ ((M.T.astype(np.float64) @ digits).astype(np.int64) % p)
+
+
 class FieldElem:
     """Immutable element of a FieldCtx; supports +, -, *, /, ** operators."""
 
@@ -233,10 +259,7 @@ class FieldCtx:
                              np.uint16 if p <= 0xFFFF else np.int32)
         gen_coeffs = self._find_generator()
         self._build_tables(gen_coeffs)
-        self.generator = (self.from_value(int(self.value_of_exp[1]))
-                          if n > 2 else self.one)
-        if self.generator.coeffs != gen_coeffs:
-            raise InvariantViolation("generator table row mismatch")
+        self.generator = self.elem(gen_coeffs)
 
     # -- construction ------------------------------------------------------
 
@@ -276,76 +299,50 @@ class FieldCtx:
                 return cand
         raise InvariantViolation("no generator found")
 
-    def _reduction_rows(self) -> np.ndarray:
-        # row j holds the coefficients of t**(r+j) mod f, j in [0, r-1)
-        p, r, f = self.p, self.r, self.modulus
-        rows = np.zeros((max(r - 1, 0), r), dtype=np.int64)
-        cur = [(-c) % p for c in f[:r]]  # t**r mod f
-        for j in range(r - 1):
-            rows[j] = cur
-            lead = cur[r - 1]
-            cur = [0] + cur[:r - 1]
-            if lead:
-                for i in range(r):
-                    cur[i] = (cur[i] - lead * f[i]) % p
-        return rows
-
-    def _block_mul(self, block, y, red):
-        # multiply every row of block (coeff vectors) by the vector y
-        p, r = self.p, self.r
-        block = np.asarray(block, dtype=np.int64)
-        y = np.asarray(y, dtype=np.int64).ravel()
-        full = np.zeros((block.shape[0], 2 * r - 1), dtype=np.int64)
-        for j in range(r):
-            if y[j]:
-                full[:, j:j + r] += block * y[j]
-        low = full[:, :r]
-        if r > 1:
-            low = low + full[:, r:] @ red
-        return low % p
-
     def _build_tables(self, gen_coeffs) -> None:
-        p, r, n = self.p, self.r, self.n
-        red = self._reduction_rows()
-        E = np.zeros((n - 1, r), dtype=np.int64)
-        E[0, 0] = 1
+        # value_of_exp[k] = g**k by doubling: the next `take` entries are
+        # the first `take` times g**filled, a GF(p)-linear map whose matrix
+        # M is squared as filled doubles; row j of M starts as the
+        # coefficients of g t**j
+        p, r, n, f = self.p, self.r, self.n, self.modulus
+        values = np.ones(n - 1, dtype=np.int32)
         if n - 1 > 1:
-            g = np.zeros(r, dtype=np.int64)
-            g[:len(gen_coeffs)] = gen_coeffs
-            E[1] = g
+            values[1] = self._poly_value(gen_coeffs)
+            M = np.array([self.elem(_pmulmod((0,) * j + (1,), gen_coeffs,
+                                             f, p)).coeffs
+                          for j in range(r)], dtype=np.int64)
             filled = 2
             while filled < n - 1:
+                M = M @ M % p
                 take = min(filled, n - 1 - filled)
-                yk = self._block_mul(E[filled - 1:filled], g, red)[0]
-                E[filled:filled + take] = self._block_mul(E[:take], yk, red)
+                for i0 in range(0, take, _BLOCK_ROWS):
+                    i1 = min(i0 + _BLOCK_ROWS, take)
+                    values[filled + i0:filled + i1] = _times_packed(
+                        values[i0:i1], M, p)
                 filled += take
-        self.exp_coeffs = E.astype(self.coeff_dtype)
-        powers = np.int64(p) ** np.arange(r, dtype=np.int64)
-        self.value_of_exp = (E @ powers).astype(np.int64)
-        _check_bijection(self.value_of_exp, n)
-        self.log_of_value = np.full(n, -1, dtype=np.int64)
-        self.log_of_value[self.value_of_exp] = np.arange(n - 1, dtype=np.int64)
-        tr_basis = self._trace_basis()
-        self.trace_of_exp = (E @ tr_basis) % p
-        self.trace_of_value = np.zeros(n, dtype=np.int64)
-        self.trace_of_value[self.value_of_exp] = self.trace_of_exp
+        _check_bijection(values, n)
+        self.value_of_exp = values
+        self.log_of_value = np.full(n, -1, dtype=np.int32)
+        self.log_of_value[values] = np.arange(n - 1, dtype=np.int32)
+        # the trace is linear in the base-p digits of the value: prepend
+        # one digit at a time, Tr(d t**j + x) = d Tr(t**j) + Tr(x)
+        trace = np.zeros(1, dtype=np.int32)
+        for tr_j in self._trace_basis():
+            shifts = (np.arange(p) * tr_j % p).astype(np.int32)
+            trace = (np.add.outer(shifts, trace) % p).ravel()
+        self.trace_of_value = trace.astype(self.coeff_dtype)
+        self.trace_of_exp = self.trace_of_value[values]
 
-    def _trace_basis(self) -> np.ndarray:
-        # tr_basis[j] = Tr(t**j); the trace is linear in the coefficients
+    def _trace_basis(self) -> list[int]:
+        # Tr(t**j) is the j-th power sum of the roots of the modulus (the
+        # conjugates t**(p**i)), read off its coefficients by Newton's
+        # identities
         p, r, f = self.p, self.r, self.modulus
-        basis = np.zeros(r, dtype=np.int64)
-        for j in range(r):
-            total = [0] * r
-            y = _ptrim([0] * j + [1])
-            for i in range(r):
-                for d, c in enumerate(y):
-                    total[d] = (total[d] + c) % p
-                if i < r - 1:
-                    y = _ppowmod(y, p, f, p)
-            if any(total[1:]):
-                raise InvariantViolation("trace of basis monomial not scalar")
-            basis[j] = total[0]
-        return basis
+        sums = [r % p]
+        for j in range(1, r):
+            sums.append(-(j * f[r - j] + sum(f[r - i] * sums[j - i]
+                                             for i in range(1, j))) % p)
+        return sums
 
     # -- element creation --------------------------------------------------
 

@@ -81,8 +81,8 @@ def is_difference_set(spec: SubgroupSpec) -> tuple[bool, int | None]:
     ctx, m = spec.ctx, spec.m
     if m > DIFFSET_CAP:
         raise ResourceCap(f"difference-set census capped at m <= {DIFFSET_CAP}")
-    A = ctx.exp_coeffs[spec.element_logs].astype(np.int64)
     powers = np.int64(ctx.p) ** np.arange(ctx.r, dtype=np.int64)
+    A = spec.element_values.astype(np.int64)[:, None] // powers % ctx.p
     counts = np.zeros(ctx.n, dtype=np.int64)
     step = max(1, (2 ** 22) // max(m, 1))
     for i0 in range(0, m, step):

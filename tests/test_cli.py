@@ -134,6 +134,59 @@ def test_analyze_rejects_tampered_exponent_csv(tmp_path, capsys):
         assert "(row 2, column 5)" in obj["message"]
 
 
+def _header_edit(old, new):
+    def edit(text):
+        first, rest = text.split("\n", 1)
+        assert old in first
+        return first.replace(old, new) + "\n" + rest
+    return edit
+
+
+# (source file, edit of its text or None to leave it unwritten, error
+# type, text the one-line message must hold)
+BAD_FRAME_FILES = {
+    "complex-cells": ("c.cplx.csv", lambda t: t, "ValidationError",
+                      "line 1: '0.27735"),
+    "json-header": ("f.csv", _header_edit('"p": 3,', '"p": 3'),
+                    "ValidationError", "line 1: header is not valid JSON"),
+    "header-no-p": ("f.csv", _header_edit('"p": 3, ', ""),
+                    "ValidationError", "needs an integer 'p', got None"),
+    "header-no-m": ("f.csv", _header_edit('"m": 13, ', ""),
+                    "ValidationError", "needs an integer 'm', got None"),
+    "missing": ("f.csv", None, "ValidationError", "cannot read"),
+    "empty": ("f.csv", lambda t: "", "ValidationError", "no frame cells"),
+    "sign-word": ("f.csv", lambda t: "1,-1\n1,word\n", "ValidationError",
+                  "line 2: 'word' is not an integer"),
+    "ragged": ("f.csv", lambda t: t.rstrip("\n") + ",0\n",
+               "ValidationError", "line 14: 28 cells, earlier lines 27"),
+    "exponent-range": ("f.csv", lambda t: '# {"p": 3}\n0,1,5\n',
+                       "BadShape", "(row 0, column 2) is 5, outside [0, 3)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FRAME_FILES))
+def test_analyze_refuses_bad_frame_files(case, tmp_path, capsys):
+    source, edit, error, needle = BAD_FRAME_FILES[case]
+    built = str(tmp_path / "f.csv")
+    assert main(["construct", "--field", "3", "3", "--m", "13", "--out",
+                 built, "--complex-out", str(tmp_path / "c.cplx.csv")]) == 0
+    path = str(tmp_path / "in.csv")
+    if edit is not None:
+        with open(str(tmp_path / source)) as fh:
+            text = edit(fh.read())
+        with open(path, "w") as fh:
+            fh.write(text)
+    capsys.readouterr()
+    assert main(["analyze", "--in", path, "--brute", "off"]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    obj = json.loads(err[0])
+    assert obj["error"] == error
+    assert needle in obj["message"]
+    assert captured.out == ""
+
+
 def test_analyze_sl2(capsys):
     assert main(["analyze", "--sl2", "8", "3"]) == 0
     rep = json.loads(capsys.readouterr().out)

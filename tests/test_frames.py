@@ -172,6 +172,31 @@ def test_sign_to_exponent_conversion(tmp_path):
     assert np.array_equal(signs, 1 - 2 * sm.exps.astype(np.int64))
 
 
+def per_cell_csv(rows) -> bytes:
+    """The CSV writers' rows formatted cell by cell with str(int(e)), the
+    reference for their row-at-a-time formatting."""
+    return "".join(",".join(str(int(e)) for e in row) + "\n"
+                   for row in rows).encode()
+
+
+def test_csv_writers_match_per_cell_oracle(tmp_path):
+    path = str(tmp_path / "f.csv")
+    for frame in (build_field_frame(257, 1, 16),
+                  build_field_frame(3, 5, 11),
+                  build_random_exponent_frame(5, 3, 31, seed=4),
+                  build_hadamard_frame(6, 9),
+                  build_random_hadamard_frame(5, 12, seed=2)):
+        save_exponent_csv(frame, path)
+        with open(path, "rb") as fh:
+            fh.readline()  # the JSON header
+            assert fh.read() == per_cell_csv(frame.exps)
+        if frame.p == 2:
+            save_sign_csv(frame, path)
+            with open(path, "rb") as fh:
+                assert fh.read() == per_cell_csv(
+                    1 - 2 * frame.exps.astype(np.int64))
+
+
 def test_random_frames_reproducible():
     a = build_random_exponent_frame(3, 3, 13, seed=42)
     b = build_random_exponent_frame(3, 3, 13, seed=42)

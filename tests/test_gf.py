@@ -14,6 +14,8 @@ from groupframes.errors import (
 )
 from groupframes.gf import (
     _check_bijection,
+    _ppowmod,
+    _ptrim,
     build_field,
     is_prime,
     prime_factors,
@@ -78,6 +80,101 @@ def test_exp_log_tables_consistent(p, r):
     assert np.array_equal(ctx.log_of_value[ctx.value_of_exp], ks)
     # Lagrange: g^(n-1) = 1 closes the cycle
     assert ctx.from_log(n - 1) == ctx.one
+
+
+def doubling_tables(ctx):
+    """The four field tables by coefficient-matrix doubling, the reference
+    the packed linear maps must reproduce: every power of g is an int64
+    row of r coefficients, and each new half of the table is the filled
+    prefix times g**filled, by a schoolbook product reduced through the
+    rows t**(r+j) mod f; the traces come from the sum of the conjugates
+    of each basis monomial."""
+    p, r, n, f = ctx.p, ctx.r, ctx.n, ctx.modulus
+    red = np.zeros((max(r - 1, 0), r), dtype=np.int64)
+    cur = [(-c) % p for c in f[:r]]  # t**r mod f
+    for j in range(r - 1):
+        red[j] = cur
+        lead = cur[r - 1]
+        cur = [0] + cur[:r - 1]
+        if lead:
+            for i in range(r):
+                cur[i] = (cur[i] - lead * f[i]) % p
+
+    def block_mul(block, y):
+        full = np.zeros((block.shape[0], 2 * r - 1), dtype=np.int64)
+        for j in range(r):
+            if y[j]:
+                full[:, j:j + r] += block * y[j]
+        low = full[:, :r]
+        if r > 1:
+            low = low + full[:, r:] @ red
+        return low % p
+
+    E = np.zeros((n - 1, r), dtype=np.int64)
+    E[0, 0] = 1
+    if n - 1 > 1:
+        g = np.array(ctx.generator.coeffs, dtype=np.int64)
+        E[1] = g
+        filled = 2
+        while filled < n - 1:
+            take = min(filled, n - 1 - filled)
+            yk = block_mul(E[filled - 1:filled], g)[0]
+            E[filled:filled + take] = block_mul(E[:take], yk)
+            filled += take
+    value_of_exp = E @ (np.int64(p) ** np.arange(r, dtype=np.int64))
+    log_of_value = np.full(n, -1, dtype=np.int64)
+    log_of_value[value_of_exp] = np.arange(n - 1)
+    # Tr(t**j) as the sum of the conjugates t**(j p**i), i < r
+    basis = []
+    for j in range(r):
+        total = [0] * r
+        y = _ptrim([0] * j + [1])
+        for i in range(r):
+            for d, c in enumerate(y):
+                total[d] = (total[d] + c) % p
+            y = _ppowmod(y, p, f, p)
+        assert not any(total[1:])
+        basis.append(total[0])
+    trace_of_exp = E @ np.array(basis, dtype=np.int64) % p
+    trace_of_value = np.zeros(n, dtype=np.int64)
+    trace_of_value[value_of_exp] = trace_of_exp
+    return {"value_of_exp": value_of_exp, "log_of_value": log_of_value,
+            "trace_of_exp": trace_of_exp, "trace_of_value": trace_of_value}
+
+
+def assert_tables_match_oracle(p, r):
+    ctx = build_field(p, r)
+    assert np.iinfo(ctx.coeff_dtype).max >= p - 1
+    dtypes = {"value_of_exp": np.int32, "log_of_value": np.int32,
+              "trace_of_exp": ctx.coeff_dtype,
+              "trace_of_value": ctx.coeff_dtype}
+    for name, want in doubling_tables(ctx).items():
+        got = getattr(ctx, name)
+        assert got.dtype == dtypes[name], (p, r, name)
+        assert np.array_equal(got, want), (p, r, name)
+
+
+def _prime_powers(limit, min_degree):
+    return [(p, r) for p in range(2, limit + 1) if is_prime(p)
+            for r in range(min_degree, limit.bit_length())
+            if p ** r <= limit]
+
+
+def test_tables_match_oracle_up_to_2_12():
+    for p, r in _prime_powers(2 ** 12, 1):
+        assert_tables_match_oracle(p, r)
+
+
+def test_extension_tables_match_oracle_up_to_2_16():
+    for p, r in _prime_powers(2 ** 16, 2):
+        if p ** r > 2 ** 12:
+            assert_tables_match_oracle(p, r)
+
+
+@pytest.mark.parametrize("p,r", [(257, 1), (257, 2), (65537, 1), (2, 20)])
+def test_tables_match_oracle_large_p_and_n(p, r):
+    # p > 255 needs wider trace tables than uint8; 2**20 runs many blocks
+    assert_tables_match_oracle(p, r)
 
 
 def test_bijection_check():
