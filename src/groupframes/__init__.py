@@ -12,15 +12,12 @@ distinct Gram values, each computed by at least two independent routes.
 
 from .coherence import (
     CoherenceReport,
-    CosetSums,
     analyze,
     average_coherence,
     bound_general_kappa,
     bound_m_odd,
-    bound_orbit_min,
     bound_sqrt_kappa,
     coherence_bruteforce,
-    coherence_fast,
     coherence_properties,
     coset_sums,
     inner_product_exact,
@@ -29,14 +26,12 @@ from .coherence import (
     random_fourier_window,
     roots_of_unity,
     tightness_residual,
-    w_vector_check,
     welch_bound,
 )
 from .errors import (
     BadShape,
     ContextMismatch,
     DegreeTooLarge,
-    DivisionByZero,
     GroupFramesError,
     InvariantViolation,
     KappaOddWithModdP,
@@ -51,7 +46,6 @@ from .errors import (
     ResourceError,
     TooManyRows,
     ValidationError,
-    ZeroElement,
 )
 from .frames import (
     ComplexFrame,
@@ -67,26 +61,9 @@ from .frames import (
     save_exponent_csv,
     save_sign_csv,
 )
-from .gf import FieldCtx, FieldElem, build_field, is_prime, prime_factors
-from .sl2 import (
-    Sl2ClassData,
-    admissible_q,
-    sl2_class_data,
-    sl2_cuspidal_coherence,
-    sl2_induced_bound,
-    sl2_induced_coherence,
-    sl2_report,
-    sl2_welch,
-)
-from .subgroups import (
-    ZERO,
-    SubgroupSpec,
-    coset_of,
-    is_difference_set,
-    parity_of_minus_one,
-    subgroup_of_order,
-    translation_degree,
-)
+from .gf import FieldCtx, build_field, is_prime, prime_factors
+from .sl2 import Sl2ClassData, sl2_class_data, sl2_report
+from .subgroups import SubgroupSpec, subgroup_of_order
 
 __version__ = "0.1.0"
 
@@ -95,12 +72,9 @@ __all__ = [
     "CoherenceReport",
     "ComplexFrame",
     "ContextMismatch",
-    "CosetSums",
     "DegreeTooLarge",
-    "DivisionByZero",
     "ExponentFrame",
     "FieldCtx",
-    "FieldElem",
     "GroupFramesError",
     "InvariantViolation",
     "KappaOddWithModdP",
@@ -117,14 +91,10 @@ __all__ = [
     "SubgroupSpec",
     "TooManyRows",
     "ValidationError",
-    "ZERO",
-    "ZeroElement",
-    "admissible_q",
     "analyze",
     "average_coherence",
     "bound_general_kappa",
     "bound_m_odd",
-    "bound_orbit_min",
     "bound_sqrt_kappa",
     "build_field",
     "build_field_frame",
@@ -133,17 +103,13 @@ __all__ = [
     "build_random_exponent_frame",
     "build_random_hadamard_frame",
     "coherence_bruteforce",
-    "coherence_fast",
     "coherence_properties",
-    "coset_of",
     "coset_sums",
     "inner_product_exact",
-    "is_difference_set",
     "is_prime",
     "load_frame",
     "materialize",
     "multiplier_sums",
-    "parity_of_minus_one",
     "prime_factors",
     "random_fourier_bound",
     "random_fourier_window",
@@ -152,14 +118,8 @@ __all__ = [
     "save_exponent_csv",
     "save_sign_csv",
     "sl2_class_data",
-    "sl2_cuspidal_coherence",
-    "sl2_induced_bound",
-    "sl2_induced_coherence",
     "sl2_report",
-    "sl2_welch",
     "subgroup_of_order",
     "tightness_residual",
-    "translation_degree",
-    "w_vector_check",
     "welch_bound",
 ]

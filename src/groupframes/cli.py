@@ -5,8 +5,9 @@ All outputs are deterministic for a fixed configuration: JSON is written
 with sorted keys and no timestamps, CSV cells are fixed-format, files are
 written atomically (temp file in the target directory, or in
 GROUPFRAMES_SCRATCH when set, then renamed).  Exit codes: 0 success,
-2 validation error, 3 resource cap, 4 internal invariant violation, with
-a one-line JSON error object on stderr.
+2 validation error (including an output path that cannot be written),
+3 resource cap, 4 internal invariant violation, with a one-line JSON
+error object on stderr.
 """
 
 from __future__ import annotations
@@ -68,25 +69,33 @@ def _atomic(path: str):
 
     Symlinks, devices, and pipes (/dev/stdout and friends) are written
     through directly because renaming over them would replace the node.
+    A path that cannot be written (a missing directory, no permission, a
+    bad GROUPFRAMES_SCRATCH) raises ValidationError naming it, and no
+    temp file is left behind.
     """
     path = os.path.abspath(path)
-    if os.path.islink(path) or (os.path.exists(path)
-                                and not os.path.isfile(path)):
-        yield path
-        return
     scratch = os.environ.get("GROUPFRAMES_SCRATCH")
-    tmpdir = scratch if scratch else os.path.dirname(path)
-    fd, tmp = tempfile.mkstemp(dir=tmpdir, prefix=".groupframes-")
-    os.close(fd)
     try:
-        yield tmp
+        if os.path.islink(path) or (os.path.exists(path)
+                                    and not os.path.isfile(path)):
+            yield path
+            return
+        tmpdir = scratch if scratch else os.path.dirname(path)
+        fd, tmp = tempfile.mkstemp(dir=tmpdir, prefix=".groupframes-")
+        os.close(fd)
         try:
-            os.replace(tmp, path)
-        except OSError:
-            shutil.move(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+            yield tmp
+            try:
+                os.replace(tmp, path)
+            except OSError:
+                shutil.move(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    except OSError as exc:
+        via = f" (temp files in {scratch})" if scratch else ""
+        raise ValidationError(f"cannot write {path}{via}: "
+                              f"{exc.strerror or exc}") from None
 
 
 def _write_text(path: str | None, text: str):
@@ -126,8 +135,9 @@ def _parse_log_base(text: str) -> float | None:
         base = float(text)
     except ValueError:
         raise UsageError(f"--log-base must be 'e' or a number, got {text!r}")
-    if base <= 1.0:
-        raise UsageError(f"--log-base must exceed 1, got {base}")
+    if not 1.0 < base < math.inf:
+        raise UsageError(f"--log-base must be a finite number above 1, "
+                         f"got {base}")
     return base
 
 
@@ -301,6 +311,8 @@ def cmd_compare(args) -> int:
         raise UsageError(f"need at least 3 seeds, got {len(seeds)}")
     if len(set(seeds)) != len(seeds):
         raise UsageError("seeds must be distinct")
+    if min(seeds) < 0:
+        raise UsageError(f"seeds must be >= 0, got {min(seeds)}")
     if args.table == "I":
         rows = [_field_row(f"({2 ** r}, {m})", build_hadamard_frame,
                            build_random_hadamard_frame, (r, m), seeds,

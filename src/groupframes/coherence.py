@@ -98,16 +98,6 @@ def bound_sqrt_kappa(n: int, m_dim: int, kappa_count: int) -> float:
     return math.sqrt(kappa_count) * welch_bound(n, m_dim)
 
 
-def bound_orbit_min(group_order: int, min_orbit_block: int, n: int,
-                    m_dim: int) -> float:
-    """Orbit form of the mean-square bound:
-    sqrt((|G| - 1)/min block size) * welch."""
-    if group_order < 2 or min_orbit_block < 1:
-        raise BadShape("need group_order >= 2 and min_orbit_block >= 1")
-    return math.sqrt((group_order - 1) / min_orbit_block) \
-        * welch_bound(n, m_dim)
-
-
 def random_fourier_bound(n: int, m_dim: int) -> float:
     """High-probability coherence bound sqrt(118 (n - m) ln n / (m n)) for
     m random rows of an n-point Fourier matrix; see random_fourier_window
@@ -155,28 +145,10 @@ def coherence_properties(mu: float, nu: float, n: int, m_dim: int,
 # exact character-sum path
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CosetSums:
-    """Normalized sums c_d = (1/m) sum_{a in A} w**Tr(a x**d), d < kappa."""
-
-    m: int
-    kappa: int
-    p: int
-    r: int
-    values: np.ndarray = field(repr=False)
-
-
-def coset_sums(spec: SubgroupSpec) -> CosetSums:
-    """All kappa coset sums of the subgroup: the multiplier sums at log z
-    = 0 .. kappa-1, one per coset."""
-    values = multiplier_sums(spec.ctx, spec.element_values)[:spec.kappa]
-    return CosetSums(m=spec.m, kappa=spec.kappa, p=spec.ctx.p, r=spec.ctx.r,
-                     values=values)
-
-
-def coherence_fast(spec: SubgroupSpec) -> float:
-    """Frame coherence as the largest coset-sum modulus (exact path)."""
-    return float(np.max(np.abs(coset_sums(spec).values)))
+def coset_sums(spec: SubgroupSpec) -> np.ndarray:
+    """The kappa coset sums c_d = (1/m) sum_{a in A} w**Tr(a x**d): the
+    multiplier sums at log z = 0 .. kappa-1, one per coset."""
+    return multiplier_sums(spec.ctx, spec.element_values)[:spec.kappa]
 
 
 def multiplier_sums(ctx: FieldCtx, multiplier_values) -> np.ndarray:
@@ -214,22 +186,6 @@ def inner_product_exact(frame: ExponentFrame, i: int, j: int) -> complex:
             - frame.exps[:, i].astype(np.int64)) % p
     hist = np.bincount(diff, minlength=p)
     return complex(hist @ roots_of_unity(p) / frame.m_rows)
-
-
-def w_vector_check(cs: CosetSums) -> dict:
-    """Fourier transform of the coset-sum vector and its deviation from
-    the predicted shape: first entry -1/m, all others of modulus beta."""
-    kappa, m = cs.kappa, cs.m
-    # w_j = sum_d exp(2 pi i j d / kappa) c_d, an inverse DFT
-    w = kappa * np.fft.ifft(cs.values)
-    beta = _beta(m, kappa)
-    dev0 = abs(w[0] + 1.0 / m)
-    dev_rest = float(np.max(np.abs(np.abs(w[1:]) - beta))) if kappa > 1 else 0.0
-    return {
-        "w": w,
-        "beta": beta,
-        "max_violation": float(max(dev0, dev_rest)),
-    }
 
 
 # ---------------------------------------------------------------------------

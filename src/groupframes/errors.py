@@ -31,19 +31,11 @@ class DegreeTooLarge(ResourceError):
 
 
 class ContextMismatch(ValidationError):
-    """Field elements from different field contexts were mixed."""
-
-
-class DivisionByZero(ValidationError):
-    """Multiplicative inverse of the zero element was requested."""
+    """Data does not match the field context it claims."""
 
 
 class NotADivisor(ValidationError):
     """A subgroup order must divide the multiplicative group order."""
-
-
-class ZeroElement(ValidationError):
-    """The zero element has no discrete log or coset."""
 
 
 class TooManyRows(ValidationError):

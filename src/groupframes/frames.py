@@ -28,7 +28,7 @@ from .errors import (
     TooManyRows,
     ValidationError,
 )
-from .gf import FieldCtx, build_field, is_prime
+from .gf import FieldCtx, build_field, field_size, is_prime
 from .subgroups import SubgroupSpec, subgroup_of_order
 
 EXP_CELL_CAP = 2 ** 28
@@ -185,6 +185,8 @@ def build_hadamard_frame(r: int, m: int,
 
 
 def _draw_multipliers(n: int, m: int, seed: int, bernoulli: bool):
+    if seed < 0:
+        raise BadShape(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     if bernoulli:
         mask = rng.random(n) < m / n
@@ -254,10 +256,10 @@ def materialize(frame: ExponentFrame, normalize: bool = True) -> ComplexFrame:
 # file formats
 # ---------------------------------------------------------------------------
 
-def _write_int_rows(fh, rows: np.ndarray) -> None:
+def _write_rows(fh, rows: np.ndarray, cell: str) -> None:
     # one C-level %-format per row, the same text as formatting each cell
-    # with str(int(e)) and joining with commas
-    line = ",".join(["%d"] * rows.shape[1]) + "\n"
+    # with cell % x and joining with commas
+    line = ",".join([cell] * rows.shape[1]) + "\n"
     for row in rows:
         fh.write(line % tuple(row.tolist()))
 
@@ -279,7 +281,7 @@ def save_exponent_csv(frame: ExponentFrame, path: str) -> None:
         header["multiplier_values"] = [int(v) for v in frame.multiplier_values]
     with open(path, "w", newline="\n") as fh:
         fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
-        _write_int_rows(fh, frame.exps)
+        _write_rows(fh, frame.exps, "%d")
 
 
 def save_sign_csv(frame: ExponentFrame, path: str) -> None:
@@ -288,18 +290,15 @@ def save_sign_csv(frame: ExponentFrame, path: str) -> None:
     if frame.p != 2:
         raise BadShape(f"sign CSV needs p = 2, got p = {frame.p}")
     with open(path, "w", newline="\n") as fh:
-        _write_int_rows(fh, 1 - 2 * frame.exps.astype(np.int64))
+        _write_rows(fh, 1 - 2 * frame.exps.astype(np.int64), "%d")
 
 
 def save_complex_csv(cf: ComplexFrame, path: str) -> None:
     """CSV with alternating re,im columns at 17 significant digits."""
+    # a C-contiguous complex128 matrix viewed as float64 interleaves re, im
+    cells = np.ascontiguousarray(cf.entries, dtype=np.complex128)
     with open(path, "w", newline="\n") as fh:
-        for row in cf.entries:
-            parts = []
-            for z in row:
-                parts.append(f"{z.real:.17g}")
-                parts.append(f"{z.imag:.17g}")
-            fh.write(",".join(parts) + "\n")
+        _write_rows(fh, cells.view(np.float64), "%.17g")
 
 
 def _check_stored_rows(stored: np.ndarray, expected: np.ndarray) -> None:
@@ -372,7 +371,9 @@ def load_frame(path: str):
     ValidationError naming the line or header key at fault.
     """
     try:
-        with open(path) as fh:
+        # frame files are ASCII, and np.loadtxt can crash the interpreter
+        # on some other code points: they never reach it
+        with open(path, encoding="ascii") as fh:
             first = fh.readline()
             if not first.startswith("#"):
                 fh.seek(0)
@@ -394,8 +395,10 @@ def load_frame(path: str):
         raise ValidationError(f"{path}: line 1: header is not valid JSON "
                               f"({exc.msg})") from None
     except UnicodeDecodeError:
-        raise ValidationError(f"{path}: line 1 is not text") from None
+        raise ValidationError(f"{path}: not an ASCII text file") from None
     p = _header_int(header, "p", path)
+    # the checks build_field makes, also for a frame without "r"
+    field_size(p, _header_int(header, "r", path) if "r" in header else 1)
     bad = np.argwhere((exps < 0) | (exps >= p))
     if len(bad):
         i, j = (int(v) for v in bad[0])

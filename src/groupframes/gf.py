@@ -1,4 +1,4 @@
-"""Exact arithmetic in GF(p**r) built on global exponent/log tables.
+"""GF(p**r) as exponent, log and trace lookup tables.
 
 Elements are dense coefficient vectors over Z/p in ascending degree order
 (c[0] is the constant term).  A coefficient vector doubles as a base-p
@@ -11,7 +11,8 @@ given (p, r) always produces the identical field layout.
 Construction costs O(p**r * r) time for p = 2 and O(p**r * r**2) for odd
 p, and O(p**r) memory: value_of_exp and log_of_value are int32, and the
 two trace tables use coeff_dtype, the smallest type that holds 0..p-1.
-After that every product, inverse, power and trace is a table lookup.
+The frames and character sums index these tables with whole arrays of
+values; FieldElem holds a single element's coefficients and value.
 """
 
 from __future__ import annotations
@@ -22,10 +23,8 @@ from .errors import (
     BadShape,
     ContextMismatch,
     DegreeTooLarge,
-    DivisionByZero,
     InvariantViolation,
     NotPrime,
-    ZeroElement,
 )
 
 SIZE_CAP = 2 ** 24
@@ -184,8 +183,21 @@ def _times_packed(values, M, p):
     return powers @ ((M.T.astype(np.float64) @ digits).astype(np.int64) % p)
 
 
+def field_size(p: int, r: int) -> int:
+    """n = p**r, once p is a prime, r >= 1 and n within SIZE_CAP; r is
+    checked before p**r is formed, so a huge r is refused at once."""
+    if not is_prime(p):
+        raise NotPrime(f"p = {p} is not prime")
+    if r < 1:
+        raise BadShape(f"extension degree must be >= 1, got {r}")
+    # p >= 2, so r >= SIZE_CAP.bit_length() puts p**r above the cap
+    if r >= SIZE_CAP.bit_length() or p ** r > SIZE_CAP:
+        raise DegreeTooLarge(f"p**r = {p}**{r} exceeds cap {SIZE_CAP}")
+    return p ** r
+
+
 class FieldElem:
-    """Immutable element of a FieldCtx; supports +, -, *, /, ** operators."""
+    """Element of a FieldCtx: its coefficient vector and base-p value."""
 
     __slots__ = ("ctx", "coeffs", "value")
 
@@ -196,38 +208,6 @@ class FieldElem:
         for c in reversed(coeffs):
             v = v * ctx.p + c
         self.value = v
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldElem)
-                and self.ctx.ctx_id == other.ctx.ctx_id
-                and self.value == other.value)
-
-    def __hash__(self):
-        return hash((self.ctx.ctx_id, self.value))
-
-    def __repr__(self):
-        return f"FieldElem({self.value} in {self.ctx.ctx_id})"
-
-    def __add__(self, other):
-        return self.ctx.add(self, other)
-
-    def __sub__(self, other):
-        return self.ctx.sub(self, other)
-
-    def __neg__(self):
-        return self.ctx.neg(self)
-
-    def __mul__(self, other):
-        return self.ctx.mul(self, other)
-
-    def __truediv__(self, other):
-        return self.ctx.mul(self, self.ctx.inv(other))
-
-    def __pow__(self, k):
-        return self.ctx.pow(self, k)
-
-    def is_zero(self) -> bool:
-        return self.value == 0
 
 
 def _check_bijection(value_of_exp: np.ndarray, n: int) -> None:
@@ -243,16 +223,9 @@ class FieldCtx:
     """GF(p**r) with exponent/log/trace tables; build via build_field()."""
 
     def __init__(self, p: int, r: int):
-        if not is_prime(p):
-            raise NotPrime(f"p = {p} is not prime")
-        if r < 1:
-            raise BadShape(f"extension degree must be >= 1, got {r}")
-        n = p ** r
-        if n > SIZE_CAP:
-            raise DegreeTooLarge(f"p**r = {n} exceeds cap {SIZE_CAP}")
         self.p = p
         self.r = r
-        self.n = n
+        self.n = field_size(p, r)
         self.modulus = self._find_modulus()
         self.ctx_id = f"GF({p}^{r})#{self._poly_value(self.modulus)}"
         self.coeff_dtype = (np.uint8 if p <= 0xFF else
@@ -360,75 +333,14 @@ class FieldCtx:
             raise BadShape(f"value {v} outside [0, {self.n})")
         return FieldElem(self, self._value_coeffs(v))
 
-    def from_log(self, k: int) -> FieldElem:
-        return self.from_value(int(self.value_of_exp[k % (self.n - 1)]))
-
-    @property
-    def zero(self) -> FieldElem:
-        return self.from_value(0)
-
-    @property
-    def one(self) -> FieldElem:
-        return self.from_value(1)
-
-    def elements(self) -> list[FieldElem]:
-        """All p**r elements in value order."""
-        return [self.from_value(v) for v in range(self.n)]
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _check(self, *xs):
-        for x in xs:
-            if not isinstance(x, FieldElem) or x.ctx.ctx_id != self.ctx_id:
-                raise ContextMismatch(f"element does not belong to {self.ctx_id}")
-
-    def add(self, a: FieldElem, b: FieldElem) -> FieldElem:
-        self._check(a, b)
-        return FieldElem(self, tuple((x + y) % self.p
-                                     for x, y in zip(a.coeffs, b.coeffs)))
-
-    def neg(self, a: FieldElem) -> FieldElem:
-        self._check(a)
-        return FieldElem(self, tuple((-x) % self.p for x in a.coeffs))
-
     def sub(self, a: FieldElem, b: FieldElem) -> FieldElem:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: FieldElem, b: FieldElem) -> FieldElem:
-        self._check(a, b)
-        if a.value == 0 or b.value == 0:
-            return self.zero
-        k = (int(self.log_of_value[a.value])
-             + int(self.log_of_value[b.value])) % (self.n - 1)
-        return self.from_log(k)
-
-    def inv(self, a: FieldElem) -> FieldElem:
-        self._check(a)
-        if a.value == 0:
-            raise DivisionByZero("zero has no inverse")
-        return self.from_log(-int(self.log_of_value[a.value]))
-
-    def pow(self, a: FieldElem, k: int) -> FieldElem:
-        self._check(a)
-        if a.value == 0:
-            if k == 0:
-                return self.one
-            if k < 0:
-                raise DivisionByZero("negative power of zero")
-            return self.zero
-        return self.from_log(int(self.log_of_value[a.value]) * k)
-
-    def log(self, a: FieldElem) -> int:
-        """Discrete log base the canonical generator."""
-        self._check(a)
-        if a.value == 0:
-            raise ZeroElement("zero has no discrete log")
-        return int(self.log_of_value[a.value])
-
-    def trace(self, a: FieldElem) -> int:
-        """Field trace down to GF(p), an integer in [0, p)."""
-        self._check(a)
-        return int(self.trace_of_value[a.value])
+        """a - b, coefficient by coefficient mod p."""
+        for x in (a, b):
+            if x.ctx.ctx_id != self.ctx_id:
+                raise ContextMismatch(f"element does not belong to "
+                                      f"{self.ctx_id}")
+        return FieldElem(self, tuple((x - y) % self.p
+                                     for x, y in zip(a.coeffs, b.coeffs)))
 
     def __repr__(self):
         return f"FieldCtx({self.ctx_id})"

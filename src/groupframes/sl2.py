@@ -22,7 +22,6 @@ from .coherence import (
     bound_general_kappa,
     cluster_complex,
     multiplier_sums,
-    welch_bound,
 )
 from .errors import (
     InvariantViolation,
@@ -43,20 +42,6 @@ def _check_q(q: int):
         raise NotEvenPrimePower(f"q = {q} must be 2**d with d >= 2")
     if q > Q_CAP:
         raise ResourceCap(f"q = {q} exceeds cap {Q_CAP}")
-
-
-def admissible_q(mode: str, cap: int = Q_CAP) -> list[int]:
-    """All q = 2**d <= cap where the required neighbor of q is prime."""
-    if mode not in ("induced", "cuspidal"):
-        raise ValueError(f"mode must be induced or cuspidal, got {mode!r}")
-    out = []
-    q = 4
-    while q <= cap:
-        neighbor = q - 1 if mode == "induced" else q + 1
-        if is_prime(neighbor):
-            out.append(q)
-        q *= 2
-    return out
 
 
 @dataclass(frozen=True)
@@ -87,37 +72,22 @@ def sl2_class_data(q: int) -> Sl2ClassData:
     return data
 
 
-def _validate_induced(q: int, m: int):
-    _check_q(q)
-    if not is_prime(q - 1):
-        raise QMinusOneNotPrime(f"q - 1 = {q - 1} is not prime")
-    if m < 1 or m % 2 == 0 or (q - 2) % m != 0:
-        raise MNotOddDivisor(f"m = {m} must be an odd divisor of {q - 2}")
-
-
-def _validate_cuspidal(q: int, m: int):
-    _check_q(q)
-    if not is_prime(q + 1):
-        raise QPlusOneNotPrime(f"q + 1 = {q + 1} is not prime")
-    if m < 1 or m % 2 == 0 or q % m != 0:
-        raise MNotOddDivisor(f"m = {m} must be an odd divisor of {q}")
-
-
 def _degree(q: int, m: int, mode: str) -> int:
     # validate (q, m) for the mode; the representation degree is q -+ 1
+    if mode not in ("induced", "cuspidal"):
+        raise ValueError(f"mode must be induced or cuspidal, got {mode!r}")
+    _check_q(q)
     if mode == "induced":
-        _validate_induced(q, m)
-        return q + 1
-    if mode == "cuspidal":
-        _validate_cuspidal(q, m)
-        return q - 1
-    raise ValueError(f"mode must be induced or cuspidal, got {mode!r}")
-
-
-def a2m_values(p: int, m: int) -> np.ndarray:
-    """The order-2m subgroup of (Z/pZ)* as residues, via the field layer."""
-    ctx = build_field(p, 1)
-    return subgroup_of_order(ctx, 2 * m).element_values.astype(np.int64)
+        if not is_prime(q - 1):
+            raise QMinusOneNotPrime(f"q - 1 = {q - 1} is not prime")
+        base, deg = q - 2, q + 1
+    else:
+        if not is_prime(q + 1):
+            raise QPlusOneNotPrime(f"q + 1 = {q + 1} is not prime")
+        base, deg = q, q - 1
+    if m < 1 or m % 2 == 0 or base % m != 0:
+        raise MNotOddDivisor(f"m = {m} must be an odd divisor of {base}")
+    return deg
 
 
 def _class_sums(p: int, m: int) -> tuple:
@@ -128,62 +98,6 @@ def _class_sums(p: int, m: int) -> tuple:
     a2m = subgroup_of_order(ctx, 2 * m).element_values
     c = multiplier_sums(ctx, a2m)
     return a2m, 2 * m * c[ctx.log_of_value[1:]]
-
-
-def _stacked_coherence(q: int, m: int, deg: int, sums: np.ndarray) -> dict:
-    # m stacked representations of degree deg = q -+ 1: the unipotent class
-    # pins the inner product 1/deg, the torus classes carrying characters
-    # mod p = q +- 1 = 2q - deg give |s_l| / (m deg) for l = 1..p-1
-    w = np.abs(sums) / (m * deg)
-    u = 1.0 / deg
-    return {
-        "mu": float(max(u, w.max())) if len(w) else u,
-        "u_value": u,
-        "w_values": w,
-        "n": q ** 3 - q,
-        "dim": m * deg ** 2,
-    }
-
-
-def sl2_induced_coherence(q: int, m: int) -> dict:
-    """Coherence of the frame stacking the m induced representations.
-
-    The unipotent class pins the inner product 1/(q+1); the split classes
-    give |sum_{a in A2m} w**(l a)| / (m(q+1)) for l = 1..q-2; nonsplit
-    classes contribute zero.
-    """
-    _validate_induced(q, m)
-    return _stacked_coherence(q, m, q + 1, _class_sums(q - 1, m)[1])
-
-
-def _induced_bound(q: int, m: int) -> float:
-    kappa = (q - 2) // (2 * m)
-    return max(1.0, 2.0 * bound_general_kappa(2 * m, kappa)) / (q + 1)
-
-
-def sl2_induced_bound(q: int, m: int) -> float:
-    """Coherence bound (1/(q+1)) max(1, 2 B) where B is the general kappa
-    bound at subgroup size 2m and index (q-2)/2m.
-
-    The split-class inner product is (q+1) sum_{a in A2m} w**(l a), i.e.
-    (q+1) * 2m * c_l with c_l a size-2m coset sum, and the column norm
-    squared is m(q+1)**2; the normalized value is 2|c_l|/(q+1), hence the
-    factor 2 in front of the coset-sum bound.
-    """
-    _validate_induced(q, m)
-    return _induced_bound(q, m)
-
-
-def sl2_cuspidal_coherence(q: int, m: int) -> dict:
-    """Mirror construction from the m cuspidal representations; nonsplit
-    classes carry the character sums, split classes vanish."""
-    _validate_cuspidal(q, m)
-    return _stacked_coherence(q, m, q - 1, _class_sums(q + 1, m)[1])
-
-
-def sl2_welch(q: int, m: int, mode: str) -> float:
-    """Welch bound at the frame shape n = q(q+1)(q-1), dim = m(q+-1)**2."""
-    return welch_bound(q ** 3 - q, m * _degree(q, m, mode) ** 2)
 
 
 def sl2_report(q: int, m: int, mode: str,
@@ -199,13 +113,20 @@ def sl2_report(q: int, m: int, mode: str,
     deg = _degree(q, m, mode)
     p = 2 * q - deg
     a2m, sums = _class_sums(p, m)
-    coh = _stacked_coherence(q, m, deg, sums)
-    n = coh["n"]
+    n = q ** 3 - q
+    # the unipotent class pins the inner product 1/deg; the torus classes
+    # carrying characters mod p give |s_l| / (m deg) for l = 1..p-1
+    u = 1.0 / deg
+    w = np.abs(sums) / (m * deg)
     # cuspidal characters are -1 on the unipotent class and minus the torus
     # sums, so every cuspidal inner product carries a minus sign
     if mode == "induced":
         sign, carrier, silent = 1.0, "split", "nonsplit"
-        sl2_bound = _induced_bound(q, m)
+        # the split-class value is 2|c_l|/(q+1) with c_l a sum over the
+        # order-2m subgroup of index (q-2)/2m, hence twice the coset-sum
+        # bound
+        kappa = (q - 2) // (2 * m)
+        sl2_bound = max(1.0, 2.0 * bound_general_kappa(2 * m, kappa)) / deg
     else:
         sign, carrier, silent = -1.0, "nonsplit", "split"
         sl2_bound = None
@@ -220,7 +141,7 @@ def sl2_report(q: int, m: int, mode: str,
     reps, counts = cluster_complex(np.array(values, dtype=np.complex128),
                                    weights=weights)
     return _census_report(
-        n, coh["dim"], coh["mu"], 1.0 / (n - 1),
+        n, m * deg ** 2, float(max(u, w.max())), 1.0 / (n - 1),
         list(zip(reps.tolist(), counts.tolist())), log_base=log_base,
         paths={"census_source": "class-functions",
                "nu_source": "group-frame-identity"},
@@ -234,6 +155,6 @@ def sl2_report(q: int, m: int, mode: str,
         extra={
             "mode": f"sl2-{mode}",
             "sl2_bound": sl2_bound,
-            "u_value": coh["u_value"],
-            "w_values": [float(x) for x in coh["w_values"]],
+            "u_value": u,
+            "w_values": [float(x) for x in w],
         })

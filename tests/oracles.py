@@ -1,0 +1,169 @@
+"""Independent checks of the paper's structural facts.
+
+The package computes with whole arrays of table values.  These helpers
+work one element, one coset or one formula at a time, over the same
+field tables, so the tests can hold the construction to the facts the
+paper proves: Paley difference sets at kappa = 2, -1 in the half-way
+coset, the translation-degree row sums, the beta modulus of the w-vector
+and the orbit form of the mean-square bound.  Elements are base-p values
+(ints); zero has no log, no inverse and no coset.
+"""
+
+import math
+
+import numpy as np
+
+from groupframes.coherence import welch_bound
+from groupframes.errors import BadShape
+from groupframes.gf import is_prime
+from groupframes.sl2 import Q_CAP
+
+# ---------------------------------------------------------------------------
+# element arithmetic on values
+# ---------------------------------------------------------------------------
+
+
+def add(ctx, a, b):
+    x, y = ctx.from_value(a).coeffs, ctx.from_value(b).coeffs
+    return ctx.elem([u + v for u, v in zip(x, y)]).value
+
+
+def neg(ctx, a):
+    return ctx.elem([-c for c in ctx.from_value(a).coeffs]).value
+
+
+def sub(ctx, a, b):
+    return add(ctx, a, neg(ctx, b))
+
+
+def from_log(ctx, k):
+    return int(ctx.value_of_exp[k % (ctx.n - 1)])
+
+
+def log(ctx, a):
+    """Discrete log base the canonical generator."""
+    if a == 0:
+        raise ValueError("zero has no discrete log")
+    return int(ctx.log_of_value[a])
+
+
+def mul(ctx, a, b):
+    return 0 if a == 0 or b == 0 else from_log(ctx, log(ctx, a) + log(ctx, b))
+
+
+def power(ctx, a, k):
+    if a == 0:
+        if k < 0:
+            raise ZeroDivisionError("negative power of zero")
+        return int(k == 0)
+    return from_log(ctx, log(ctx, a) * k)
+
+
+def inv(ctx, a):
+    if a == 0:
+        raise ZeroDivisionError("zero has no inverse")
+    return from_log(ctx, -log(ctx, a))
+
+
+def trace(ctx, a):
+    """Field trace down to GF(p), an integer in [0, p)."""
+    return int(ctx.trace_of_value[a])
+
+
+# ---------------------------------------------------------------------------
+# cosets of a subgroup A
+# ---------------------------------------------------------------------------
+
+ZERO = None  # the pseudo-coset {0}
+
+
+def elements(spec):
+    return [int(v) for v in spec.element_values]
+
+
+def coset_values(spec, d):
+    """Values of the coset x**d A, where x is the canonical generator."""
+    if not 0 <= d < spec.kappa:
+        raise BadShape(f"coset index {d} outside [0, {spec.kappa})")
+    return spec.ctx.value_of_exp[(spec.element_logs + d) % (spec.ctx.n - 1)]
+
+
+def coset_of(spec, z):
+    """Index d in [0, kappa) with z in x**d A."""
+    return log(spec.ctx, z) % spec.kappa
+
+
+def is_difference_set(spec):
+    """(True, lam) when every nonzero element is a difference a - a' of
+    members of A exactly lam times, else (False, None)."""
+    ctx = spec.ctx
+    powers = np.int64(ctx.p) ** np.arange(ctx.r, dtype=np.int64)
+    digits = spec.element_values.astype(np.int64)[:, None] // powers % ctx.p
+    counts = np.zeros(ctx.n, dtype=np.int64)
+    for row in digits:
+        counts += np.bincount((row - digits) % ctx.p @ powers,
+                              minlength=ctx.n)
+    lams = np.unique(counts[1:])
+    return (True, int(lams[0])) if len(lams) == 1 else (False, None)
+
+
+def translation_degree(spec, s, t):
+    """Number of z in S with 1 + z in T, where S, T are coset indices or
+    ZERO for {0}."""
+    ctx, kappa = spec.ctx, spec.kappa
+    for lbl in (s, t):
+        if lbl is not ZERO and not 0 <= lbl < kappa:
+            raise BadShape(f"coset label {lbl!r} outside [0, {kappa}) or ZERO")
+    if s is ZERO:
+        return int(t is not ZERO and coset_of(spec, 1) == t)
+    # adding one changes only the constant base-p digit
+    values = coset_values(spec, s)
+    c0 = values % ctx.p
+    shifted = values - c0 + (c0 + 1) % ctx.p
+    if t is ZERO:
+        return int(np.count_nonzero(shifted == 0))
+    logs = ctx.log_of_value[shifted]
+    return int(np.count_nonzero((logs >= 0) & (logs % kappa == t)))
+
+
+def parity_of_minus_one(spec):
+    """Where -1 = g**((n-1)/2) lands (-1 = 1 when p = 2): inside A, or in
+    which coset."""
+    ctx = spec.ctx
+    coset = (0 if ctx.p == 2 else (ctx.n - 1) // 2) % spec.kappa
+    return {"in_A": coset == 0, "coset": coset,
+            "is_half_kappa": spec.kappa % 2 == 0
+            and coset == spec.kappa // 2}
+
+
+# ---------------------------------------------------------------------------
+# coherence formulas
+# ---------------------------------------------------------------------------
+
+
+def w_vector_check(sums, m):
+    """Fourier transform w of the kappa coset sums and its largest
+    deviation from the proven shape: w_0 = -1/m and |w_j| = beta =
+    sqrt((kappa + 1/m)/m) for every other j."""
+    kappa = len(sums)
+    w = kappa * np.fft.ifft(sums)
+    beta = math.sqrt((kappa + 1.0 / m) / m)
+    dev = [abs(w[0] + 1.0 / m)] + np.abs(np.abs(w[1:]) - beta).tolist()
+    return {"w": w, "beta": beta, "max_violation": float(max(dev))}
+
+
+def bound_orbit_min(group_order, min_orbit_block, n, m_dim):
+    """Orbit form of the mean-square bound:
+    sqrt((|G| - 1)/min block size) * welch."""
+    return math.sqrt((group_order - 1) / min_orbit_block) \
+        * welch_bound(n, m_dim)
+
+
+def admissible_q(mode, cap=Q_CAP):
+    """All q = 2**d <= cap, d >= 2, where q - 1 (induced) or q + 1
+    (cuspidal) is prime."""
+    if mode not in ("induced", "cuspidal"):
+        raise ValueError(f"mode must be induced or cuspidal, got {mode!r}")
+    step = -1 if mode == "induced" else 1
+    return [2 ** d for d in range(2, cap.bit_length())
+            if is_prime(2 ** d + step)]

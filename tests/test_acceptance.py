@@ -27,21 +27,21 @@ from groupframes import (
     build_hadamard_frame,
     build_random_exponent_frame,
     build_random_hadamard_frame,
-    coherence_fast,
     coset_sums,
     is_prime,
     materialize,
     sl2_report,
     tightness_residual,
-    w_vector_check,
     welch_bound,
 )
+from groupframes.cli import _divisors
 from groupframes.cli import main as cli_main
 from groupframes.coherence import (
     CLUSTER_TOL,
     cluster_complex,
     coherence_bruteforce,
 )
+from oracles import w_vector_check
 
 SWEEP_LIMIT = 1024
 TIGHT_LIMIT = 4096
@@ -77,17 +77,6 @@ def _verdict(num, ok, detail):
     assert ok, f"criterion {num}: {detail}"
 
 
-def _divisors(x):
-    out = set()
-    d = 1
-    while d * d <= x:
-        if x % d == 0:
-            out.add(d)
-            out.add(x // d)
-        d += 1
-    return sorted(out)
-
-
 def _prime_powers(limit):
     pps = []
     for p in range(2, limit + 1):
@@ -117,8 +106,8 @@ def sweep():
             kappa = (n - 1) // m
             fr = build_field_frame(p, r, m, ctx=ctx)
             cs = coset_sums(fr.subgroup)
-            mu = float(np.max(np.abs(cs.values)))
-            _, counts = cluster_complex(cs.values)
+            mu = float(np.max(np.abs(cs)))
+            _, counts = cluster_complex(cs)
             cf = materialize(fr)
             bf = coherence_bruteforce(cf, census=False)
             cases.append({
@@ -129,11 +118,11 @@ def sweep():
                 "bg": bound_general_kappa(m, kappa),
                 "bmo": (bound_m_odd(m, kappa)
                         if p % 2 == 1 and m % 2 == 1 else None),
-                "w_viol": w_vector_check(cs)["max_violation"],
+                "w_viol": w_vector_check(cs, m)["max_violation"],
                 "nu": average_coherence(cf),
                 "tight": tightness_residual(cf),
                 "census": [int(c) * n * m for c in counts],
-                "sums": cs.values,
+                "sums": cs,
             })
     return cases
 
@@ -145,7 +134,7 @@ def test_criterion_01_equiangular_rows():
         n = p ** r
         m = (n - 1) // 2
         fr = build_field_frame(p, r, m)
-        got.append((fr, n, m, coherence_fast(fr.subgroup), pin))
+        got.append((fr, n, m, analyze(fr, brute="off").mu, pin))
     elapsed = time.perf_counter() - t0
 
     bad = []
@@ -170,7 +159,7 @@ def test_criterion_02_hadamard_rows():
     got = []
     for r, m, pin in HADAMARD_ROWS:
         fr = build_hadamard_frame(r, m)
-        mu = coherence_fast(fr.subgroup)
+        mu = analyze(fr, brute="off").mu
         got.append((fr, 2 ** r, m, mu, pin))
     elapsed = time.perf_counter() - t0
 
@@ -354,12 +343,12 @@ def test_criterion_10_random_baselines():
     rows = []
     for p, r, pin in PALEY_ROWS:
         m = (p ** r - 1) // 2
-        group = coherence_fast(build_field_frame(p, r, m).subgroup)
+        group = analyze(build_field_frame(p, r, m), brute="off").mu
         rand = [analyze(build_random_exponent_frame(p, r, m, seed=s),
                         brute="off").mu for s in seeds]
         rows.append((f"{p}^{r}", group, rand))
     for r, m, pin in HADAMARD_ROWS:
-        group = coherence_fast(build_hadamard_frame(r, m).subgroup)
+        group = analyze(build_hadamard_frame(r, m), brute="off").mu
         rand = [analyze(build_random_hadamard_frame(r, m, seed=s),
                         brute="off").mu for s in seeds]
         rows.append((f"2^{r}", group, rand))

@@ -390,3 +390,43 @@ def test_scratch_env_respected(tmp_path, monkeypatch):
                  "--report", target]) == 0
     assert os.path.exists(target)
     assert os.listdir(str(scratch)) == []  # temp cleaned up
+
+
+# argv for each output flag, with {bad} an unwritable path and {ok} a
+# writable one
+UNWRITABLE = {
+    "report": ["analyze", "--field", "3", "3", "--m", "13",
+               "--report", "{bad}"],
+    "histogram": ["analyze", "--field", "3", "3", "--m", "13",
+                  "--report", "{ok}", "--histogram", "{bad}"],
+    "construct-out": ["construct", "--field", "3", "3", "--m", "13",
+                      "--out", "{bad}"],
+    "compare-out-csv": ["compare", "--table", "IV", "--out-csv", "{bad}"],
+    "bounds-out": ["bounds", "--kappa", "3", "--n-min", "4",
+                   "--n-max", "40", "--out", "{bad}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE) + ["directory",
+                                                       "scratch"])
+def test_unwritable_output_paths(case, tmp_path, monkeypatch, capsys):
+    # a missing directory, a directory as the target, or a missing
+    # GROUPFRAMES_SCRATCH: exit 2, one JSON line naming the path, and no
+    # temp file left behind
+    bad = str(tmp_path / "missing" / "out.csv")
+    ok = str(tmp_path / "ok.json")
+    argv = UNWRITABLE.get(case, UNWRITABLE["report"])
+    if case == "directory":
+        bad = str(tmp_path)
+    if case == "scratch":
+        monkeypatch.setenv("GROUPFRAMES_SCRATCH", str(tmp_path / "nowhere"))
+        bad = ok
+    argv = [a.format(bad=bad, ok=ok) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    obj = json.loads(err[0])
+    assert obj["error"] == "ValidationError"
+    assert f"cannot write {bad}" in obj["message"]
+    assert not [p for p in tmp_path.rglob(".groupframes-*")]

@@ -14,6 +14,7 @@ from groupframes.errors import (
     TooManyRows,
 )
 from groupframes.frames import (
+    ComplexFrame,
     ExponentFrame,
     _draw_multipliers,
     _exponent_rows,
@@ -172,11 +173,16 @@ def test_sign_to_exponent_conversion(tmp_path):
     assert np.array_equal(signs, 1 - 2 * sm.exps.astype(np.int64))
 
 
-def per_cell_csv(rows) -> bytes:
-    """The CSV writers' rows formatted cell by cell with str(int(e)), the
-    reference for their row-at-a-time formatting."""
-    return "".join(",".join(str(int(e)) for e in row) + "\n"
+def per_cell_csv(rows, cells=lambda e: [str(int(e))]) -> bytes:
+    """The CSV writers' rows formatted cell by cell, with str(int(e)) or
+    with the given cells(e) strings, the reference for their
+    row-at-a-time formatting."""
+    return "".join(",".join(c for e in row for c in cells(e)) + "\n"
                    for row in rows).encode()
+
+
+def complex_cells(z):
+    return [f"{z.real:.17g}", f"{z.imag:.17g}"]
 
 
 def test_csv_writers_match_per_cell_oracle(tmp_path):
@@ -195,6 +201,21 @@ def test_csv_writers_match_per_cell_oracle(tmp_path):
             with open(path, "rb") as fh:
                 assert fh.read() == per_cell_csv(
                     1 - 2 * frame.exps.astype(np.int64))
+        for normalize in (True, False):
+            cf = materialize(frame, normalize=normalize)
+            save_complex_csv(cf, path)
+            with open(path, "rb") as fh:
+                assert fh.read() == per_cell_csv(cf.entries, complex_cells)
+    # signed zeros, infinities, nan and subnormals, in a strided view
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
+                        -2.2250738585072014e-308, 1 / 3])
+    grid = np.empty((8, 8), dtype=np.complex128)
+    grid.real, grid.imag = special[:, None], special[None, ::-1]
+    entries = grid[:, ::2]
+    cf = ComplexFrame(entries=entries, normalized=False, provenance={})
+    save_complex_csv(cf, path)
+    with open(path, "rb") as fh:
+        assert fh.read() == per_cell_csv(entries, complex_cells)
 
 
 def test_random_frames_reproducible():

@@ -13,17 +13,9 @@ from groupframes.errors import (
     ResourceCap,
 )
 from groupframes.gf import build_field
-from groupframes.sl2 import (
-    a2m_values,
-    admissible_q,
-    sl2_class_data,
-    sl2_cuspidal_coherence,
-    sl2_induced_bound,
-    sl2_induced_coherence,
-    sl2_report,
-    sl2_welch,
-)
+from groupframes.sl2 import sl2_class_data, sl2_report
 from groupframes.subgroups import subgroup_of_order
+from oracles import admissible_q
 
 
 def test_class_data_q4():
@@ -62,49 +54,50 @@ def test_admissible_q_lists():
 
 def test_induced_validation():
     with pytest.raises(QMinusOneNotPrime):
-        sl2_induced_coherence(16, 1)
+        sl2_report(16, 1, "induced")
     with pytest.raises(MNotOddDivisor):
-        sl2_induced_coherence(8, 2)
+        sl2_report(8, 2, "induced")
     with pytest.raises(MNotOddDivisor):
-        sl2_induced_coherence(8, 5)
+        sl2_report(8, 5, "induced")
 
 
 def test_cuspidal_validation():
     with pytest.raises(QPlusOneNotPrime):
-        sl2_cuspidal_coherence(8, 1)
+        sl2_report(8, 1, "cuspidal")
     with pytest.raises(MNotOddDivisor):
-        sl2_cuspidal_coherence(4, 2)
+        sl2_report(4, 2, "cuspidal")
 
 
 def test_induced_coherence_published_rows():
     rows = [(4, 1, 0.2000, 0.1540), (8, 1, 0.2002, 0.1019),
             (8, 3, 0.1111, 0.0462)]
     for q, m, want_mu, want_welch in rows:
-        coh = sl2_induced_coherence(q, m)
-        assert abs(coh["mu"] - want_mu) < 5e-4
-        assert abs(sl2_welch(q, m, "induced") - want_welch) < 5e-4
-        assert coh["n"] == q ** 3 - q
-        assert coh["dim"] == m * (q + 1) ** 2
+        rep = sl2_report(q, m, "induced")
+        assert abs(rep.mu - want_mu) < 5e-4
+        assert abs(rep.welch - want_welch) < 5e-4
+        assert rep.n == q ** 3 - q
+        assert rep.m_dim == m * (q + 1) ** 2
 
 
 def test_induced_q8_m1_closed_form():
     # max_l |2 cos(2 pi l / 7)| / 9 = 2 cos(pi / 7) / 9
-    coh = sl2_induced_coherence(8, 1)
-    assert abs(coh["mu"] - 2 * np.cos(np.pi / 7) / 9) < 1e-12
-    assert abs(coh["u_value"] - 1 / 9) < 1e-15
-    assert len(coh["w_values"]) == 6
+    rep = sl2_report(8, 1, "induced")
+    assert abs(rep.mu - 2 * np.cos(np.pi / 7) / 9) < 1e-12
+    assert abs(rep.extra["u_value"] - 1 / 9) < 1e-15
+    assert len(rep.extra["w_values"]) == 6
 
 
 def test_cuspidal_q4_closed_form():
-    coh = sl2_cuspidal_coherence(4, 1)
-    assert abs(coh["mu"] - abs(2 * np.cos(4 * np.pi / 5)) / 3) < 1e-12
-    assert coh["dim"] == 9
-    assert coh["n"] == 60
+    rep = sl2_report(4, 1, "cuspidal")
+    assert abs(rep.mu - abs(2 * np.cos(4 * np.pi / 5)) / 3) < 1e-12
+    assert rep.m_dim == 9
+    assert rep.n == 60
 
 
 def test_induced_bound_examples():
-    assert abs(sl2_induced_bound(4, 1) - 0.2) < 1e-15
-    assert abs(sl2_induced_bound(8, 3) - 1 / 9) < 1e-15
+    assert abs(sl2_report(4, 1, "induced").extra["sl2_bound"] - 0.2) < 1e-15
+    assert abs(sl2_report(8, 3, "induced").extra["sl2_bound"]
+               - 1 / 9) < 1e-15
 
 
 @pytest.mark.parametrize("q", [4, 8, 32])
@@ -112,9 +105,9 @@ def test_welch_leq_mu_leq_bound_sweep(q):
     for m in range(1, q - 1, 2):
         if (q - 2) % m:
             continue
-        coh = sl2_induced_coherence(q, m)
-        assert sl2_welch(q, m, "induced") <= coh["mu"]
-        assert coh["mu"] <= sl2_induced_bound(q, m) + 1e-12
+        rep = sl2_report(q, m, "induced")
+        assert rep.welch <= rep.mu
+        assert rep.mu <= rep.extra["sl2_bound"] + 1e-12
 
 
 def test_a2m_is_the_order_2m_subgroup():
@@ -122,7 +115,7 @@ def test_a2m_is_the_order_2m_subgroup():
     # order 2m in the prime field
     for q, m in [(8, 1), (8, 3), (32, 3), (32, 5)]:
         p = q - 1
-        vals = set(int(v) for v in a2m_values(p, m))
+        vals = set(sl2_report(q, m, "induced").provenance["A2m"])
         ctx = build_field(p, 1)
         sub = set(int(v) for v in
                   subgroup_of_order(ctx, 2 * m).element_values)
@@ -132,8 +125,7 @@ def test_a2m_is_the_order_2m_subgroup():
 
 
 def test_w_value_symmetry():
-    coh = sl2_induced_coherence(32, 3)
-    w = coh["w_values"]
+    w = sl2_report(32, 3, "induced").extra["w_values"]
     p = 31
     for ell in range(1, p):
         assert abs(w[ell - 1] - w[p - ell - 1]) < 1e-12
@@ -197,5 +189,6 @@ def test_report_builds_field_once(monkeypatch, q, m, mode):
         monkeypatch.setattr(sl2, name, counted(name))
     rep = sl2_report(q, m, mode)
     assert calls == {"build_field": 1, "multiplier_sums": 1}
-    assert rep.provenance["A2m"] == sorted(
-        int(v) for v in a2m_values(rep.provenance["character_modulus"], m))
+    a2m = subgroup_of_order(build_field(rep.provenance["character_modulus"],
+                                        1), 2 * m).element_values
+    assert rep.provenance["A2m"] == sorted(int(v) for v in a2m)
