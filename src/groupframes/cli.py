@@ -31,6 +31,7 @@ from .coherence import analyze, bound_general_kappa, \
     welch_bound
 from .errors import (
     InvariantViolation,
+    ResourceCap,
     ResourceError,
     ValidationError,
 )
@@ -53,6 +54,13 @@ TABLE_I = ((8, 51), (8, 85), (9, 73), (10, 341), (12, 455))
 TABLE_II = ((3, 3, 13), (3, 5, 121), (3, 7, 1093), (7, 3, 171), (11, 3, 665))
 TABLE_IV = ((4, 1), (8, 1), (8, 3))
 DEFAULT_SEEDS = (1, 2, 3)
+# np.histogram and the CSV rows cost time and memory per bin: 10**6 bins
+# took 4.2 s and 257 MiB on the widest census (README)
+BINS_CAP = 10 ** 6
+# bounds visits every n of its range; --regime also tries every divisor
+# candidate up to sqrt(n - 1) for each row (README)
+BOUNDS_ROW_CAP = 10 ** 5
+BOUNDS_TRIAL_CAP = 10 ** 8
 
 
 class UsageError(ValidationError):
@@ -227,8 +235,6 @@ def cmd_construct(args) -> int:
 
 def _histogram_csv(magnitudes: list, bins: int) -> str:
     # magnitudes: the report's (value, count) pairs
-    if bins < 1:
-        raise UsageError(f"--bins must be >= 1, got {bins}")
     vals = np.array([v for v, _ in magnitudes], dtype=np.float64)
     # counts can exceed int64 (SL2 at the largest q); keep them exact
     cnts = np.array([c for _, c in magnitudes], dtype=object)
@@ -245,6 +251,10 @@ def _histogram_csv(magnitudes: list, bins: int) -> str:
 
 def cmd_analyze(args) -> int:
     log_base = _parse_log_base(args.log_base)
+    if args.histogram and args.bins < 1:
+        raise UsageError(f"--bins must be >= 1, got {args.bins}")
+    if args.histogram and args.bins > BINS_CAP:
+        raise ResourceCap(f"--bins {args.bins} exceeds the cap {BINS_CAP}")
     if args.sl2 is not None:
         q, m = args.sl2
         report = sl2_report(q, m, args.mode, log_base=log_base)
@@ -377,6 +387,15 @@ def cmd_bounds(args) -> int:
                          f"[{args.n_min}, {args.n_max}]")
     if args.step < 1:
         raise UsageError(f"--step must be >= 1, got {args.step}")
+    count = (args.n_max - args.n_min) // args.step + 1
+    if count > BOUNDS_ROW_CAP:
+        raise ResourceCap(f"{count} values of n exceed the row cap "
+                          f"{BOUNDS_ROW_CAP}")
+    trials = count * math.isqrt(args.n_max - 1)
+    if args.regime is not None and trials > BOUNDS_TRIAL_CAP:
+        raise ResourceCap(f"{count} rows up to n = {args.n_max} need "
+                          f"{trials} divisor trials, above the cap "
+                          f"{BOUNDS_TRIAL_CAP}")
     rows = []
     if args.kappa is not None:
         if args.kappa < 1:
@@ -440,7 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--histogram", default=None,
                      help="CSV of binned off-diagonal Gram magnitudes")
     ana.add_argument("--bins", type=int, default=200,
-                     help="histogram bin count (default 200)")
+                     help=f"histogram bin count (default 200, at most "
+                          f"{BINS_CAP})")
     ana.add_argument("--brute", choices=("on", "off", "auto"),
                      default="auto",
                      help="verification level: off uses the character "

@@ -3,13 +3,14 @@
 For frames whose columns run over a whole field and whose rows are
 multiplier characters x -> w**Tr(ax), every Gram entry depends only on the
 column difference z = x_j - x_i, so the full inner-product census reduces
-to the n-1 sums c_z = (1/m) sum_a w**Tr(az).  Indexed by discrete log,
-these sums are one cyclic correlation, computed by FFT for any multiplier
-list.  When the multipliers form a subgroup A, c is constant on the kappa
-cosets of A, so the first kappa sums are the whole census.  The dense
-checks on the materialized matrix and the brute-force Gram path are kept
-as an independent oracle; wherever both routes run, a gap between them
-above ROUTE_TOL is an InvariantViolation.
+to the n-1 sums c_z = (1/m) sum_a w**Tr(az).  When the multipliers form a
+subgroup A, c is constant on the kappa cosets of A, so the kappa Gauss
+periods are the whole census, and one pass over the trace table gives
+them.  For any other multiplier list the sums, indexed by discrete log,
+are one cyclic correlation, computed by FFT.  The dense checks on the
+materialized matrix and the brute-force Gram path are kept as an
+independent oracle; wherever both routes run, a gap between them above
+ROUTE_TOL is an InvariantViolation.
 """
 
 from __future__ import annotations
@@ -146,9 +147,17 @@ def coherence_properties(mu: float, nu: float, n: int, m_dim: int,
 # ---------------------------------------------------------------------------
 
 def coset_sums(spec: SubgroupSpec) -> np.ndarray:
-    """The kappa coset sums c_d = (1/m) sum_{a in A} w**Tr(a x**d): the
-    multiplier sums at log z = 0 .. kappa-1, one per coset."""
-    return multiplier_sums(spec.ctx, spec.element_values)[:spec.kappa]
+    """The kappa coset sums c_d = (1/m) sum_{a in A} w**Tr(a x**d), the
+    Gauss periods, one per coset.
+
+    The members of A have logs kappa*i, so the phases w**trace_of_exp
+    reshaped to (m, kappa) hold Tr(a x**d) for a in A down column d:
+    summing the columns gives every sum in one O(n) pass.  For p = 2 the
+    phases are +-1 and their sums exact integers before the division by m.
+    """
+    ctx = spec.ctx
+    phases = roots_of_unity(ctx.p)[ctx.trace_of_exp]
+    return phases.reshape(spec.m, spec.kappa).sum(axis=0) / spec.m
 
 
 def multiplier_sums(ctx: FieldCtx, multiplier_values) -> np.ndarray:
@@ -199,15 +208,11 @@ def _require_normalized(cf: ComplexFrame):
         raise NotNormalized("operation requires unit-norm columns")
 
 
-def _split_gaps(labels: np.ndarray, x: np.ndarray, tol: float) -> np.ndarray:
-    # relabel so that each group is cut wherever its values, sorted, leave
-    # a gap wider than tol
-    order = np.lexsort((x, labels))
-    cut = np.ones(len(x), dtype=bool)
-    cut[1:] = (np.diff(labels[order]) != 0) | (np.diff(x[order]) > tol)
-    out = np.empty_like(labels)
-    out[order] = np.cumsum(cut) - 1
-    return out
+def _rank(order: np.ndarray) -> np.ndarray:
+    # the position of each index in order
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return rank
 
 
 def cluster_complex(values, weights=None, tol: float = CLUSTER_TOL):
@@ -220,32 +225,75 @@ def cluster_complex(values, weights=None, tol: float = CLUSTER_TOL):
     grid point nearest the representative.  The representative of a
     cluster is the weighted mean of its members, so downstream statistics
     keep full precision.  Weights default to 1 per value; given weights
-    are summed as Python ints, so counts past int64 stay exact.
+    are summed exactly, as Python ints once their total could pass int64.
+
+    The groups are kept as blocks of one ordering of the values.  After
+    the first cut on the real part, a pass sorts only the groups the pass
+    before it cut, by one int64 key (group, rank on this axis), and skips
+    those whose span on the axis is within tol: a group a pass leaves
+    uncut has no gap on either axis and is final.
     """
     vals = np.asarray(values, dtype=np.complex128).ravel()
+    size = len(vals)
     parts = (vals.real, vals.imag)
-    labels = _split_gaps(np.zeros(len(vals), dtype=np.int64), parts[0], tol)
-    groups, axis = int(labels.max(initial=-1)) + 1, 1
-    # a split that cuts nothing leaves groups already split on both parts
-    while True:
-        labels = _split_gaps(labels, parts[axis], tol)
-        found = int(labels.max(initial=-1)) + 1
-        if found == groups:
+    by_real = np.argsort(parts[0])
+    order = by_real.copy()
+    ranks = {}
+    first = np.ones(size, dtype=bool)  # first[k]: order[k] starts a group
+    first[1:] = np.diff(parts[0][order]) > tol
+    group = np.cumsum(first) - 1
+    active = np.ones(np.count_nonzero(first), dtype=bool)
+    axis = 1
+    while active.any():
+        starts = np.flatnonzero(first)
+        lengths = np.diff(starts, append=size)
+        x = parts[axis][order[np.repeat(active, lengths)]]
+        local = np.cumsum(lengths[active]) - lengths[active]
+        span = np.maximum.reduceat(x, local) - np.minimum.reduceat(x, local)
+        room = np.zeros_like(active)
+        room[active] = span > tol
+        pos = np.flatnonzero(np.repeat(room, lengths))
+        if len(pos) == 0:
             break
-        groups, axis = found, 1 - axis
+        if axis not in ranks:
+            ranks[axis] = _rank(np.argsort(parts[1]) if axis else by_real)
+        # sorting within each group keeps the groups where they are
+        sel = order[pos]
+        order[pos] = sel = sel[np.argsort(group[pos] * size
+                                          + ranks[axis][sel])]
+        cut = np.zeros(len(pos), dtype=bool)
+        cut[1:] = (np.diff(parts[axis][sel]) > tol) & ~first[pos[1:]]
+        if not cut.any():
+            break
+        was_cut = np.zeros_like(active)
+        was_cut[group[pos[cut]]] = True
+        first[pos[cut]] = True
+        active = was_cut[group[first]]
+        group = np.cumsum(first) - 1
+        axis = 1 - axis
+    starts = np.flatnonzero(first)
+    groups = len(starts)
+    labels = np.empty(size, dtype=np.int64)
+    labels[order] = group
     if weights is None:
-        w = np.ones(len(vals))
-        counts = np.bincount(labels, minlength=groups)
+        real, imag = parts
+        counts = np.diff(starts, append=size)
     else:
-        ints = [int(x) for x in weights]
-        w = np.array(ints, dtype=np.float64)
-        counts = np.zeros(groups, dtype=object)
-        np.add.at(counts, labels, ints)
-    sums = (np.bincount(labels, vals.real * w, minlength=groups)
-            + 1j * np.bincount(labels, vals.imag * w, minlength=groups))
+        w = np.asarray(weights)
+        if w.dtype == object or int(w.max(initial=0)) * size >= 2 ** 63:
+            w = np.array([int(c) for c in w.ravel()], dtype=object)
+        else:
+            w = w.astype(np.int64)
+        counts = np.add.reduceat(w[order], starts)
+        wf = w.astype(np.float64)
+        real, imag = parts[0] * wf, parts[1] * wf
+    sums = (np.bincount(labels, real, minlength=groups)
+            + 1j * np.bincount(labels, imag, minlength=groups))
     reps = sums / counts.astype(np.float64)
-    order = np.lexsort((np.round(reps.imag / tol), np.round(reps.real / tol)))
-    return reps[order], counts[order]
+    # complex values sort by real part, then imaginary part
+    grid = np.round(reps.real / tol) + 1j * np.round(reps.imag / tol)
+    out = np.argsort(grid, kind="stable")
+    return reps[out], counts[out]
 
 
 def coherence_bruteforce(cf: ComplexFrame,
@@ -358,35 +406,39 @@ class CoherenceReport:
         }
 
 
-def _magnitude_census(distinct_values, tol=CLUSTER_TOL):
+def _magnitude_census(values, pairs, tol=CLUSTER_TOL):
     # the census magnitudes, clustered like the values and reported at the
     # tol grid point nearest each cluster's mean
-    mags, counts = cluster_complex(
-        np.abs(np.array([v for v, _ in distinct_values])),
-        weights=[c for _, c in distinct_values], tol=tol)
+    mags, counts = cluster_complex(np.abs(values), weights=pairs, tol=tol)
     return list(zip((np.round(mags.real / tol) * tol).tolist(),
                     counts.tolist()))
 
 
-def _census_mean_sq(distinct_values, n: int) -> float:
-    total = sum(c * (abs(v) ** 2) for v, c in distinct_values)
-    return float(total / (n * (n - 1)))
-
-
-def _census_report(n: int, m_dim: int, mu: float, nu: float, census: list,
+def _census_report(n: int, m_dim: int, mu: float, nu: float,
+                   values: np.ndarray, counts: np.ndarray, scale: int = 1,
                    log_base: float | None = None,
                    cluster_tol: float = CLUSTER_TOL,
                    mean_sq: float | None = None, kappa: int | None = None,
                    **fields) -> CoherenceReport:
-    # the tail every construction ends in: from the census of (value,
-    # ordered-pair count) the magnitude census, the mean square (unless
-    # the Gram gave it), the Welch bound and the property flags; the
-    # subgroup index kappa adds the coset-sum bounds, and fields fills in
-    # the rest of the report
-    if sum(c for _, c in census) != n * (n - 1):
+    # the tail every construction ends in: from the census, the distinct
+    # values each taken by counts * scale ordered pairs, the magnitude
+    # census, the mean square (unless the Gram gave it), the Welch bound
+    # and the property flags; the subgroup index kappa adds the coset-sum
+    # bounds, and fields fills in the rest of the report.  scale is a
+    # Python int, and the pair counts are Python ints once n(n-1) passes
+    # int64, so they stay exact
+    total = n * (n - 1)
+    if int(counts.sum()) * scale != total:
         raise InvariantViolation("census multiplicities do not cover all "
                                  "ordered pairs")
-    magnitudes = _magnitude_census(census, tol=cluster_tol)
+    pairs = counts.astype(np.int64 if total < 2 ** 63 else object) * scale
+    if mean_sq is None:
+        # hypot is the correctly rounded modulus; the terms are summed left
+        # to right, so every interpreter gives the same bits
+        terms = pairs.astype(np.float64) \
+            * np.hypot(values.real, values.imag) ** 2
+        mean_sq = float(np.cumsum(terms)[-1]) / total
+    magnitudes = _magnitude_census(values, pairs, tol=cluster_tol)
     flags = coherence_properties(mu, nu, n, m_dim, log_base=log_base)
     flags["equiangular"] = len(magnitudes) == 1
     if kappa is not None:
@@ -399,10 +451,9 @@ def _census_report(n: int, m_dim: int, mu: float, nu: float, census: list,
         mu=float(mu),
         nu=float(nu),
         welch=welch_bound(n, m_dim),
-        distinct_values=census,
+        distinct_values=list(zip(values.tolist(), pairs.tolist())),
         distinct_magnitudes=magnitudes,
-        gram_offdiag_mean_sq=(_census_mean_sq(census, n) if mean_sq is None
-                              else mean_sq),
+        gram_offdiag_mean_sq=mean_sq,
         property_flags=flags,
         kappa=kappa,
         **fields,
@@ -460,25 +511,25 @@ def analyze(frame, brute: str = "auto", log_base: float | None = None,
                        "multiplier structure and brute force did not run")
 
     paths: dict = {}
-    census = []
+    reps = counts = scale = None
     kappa = fast_mu = fast_nu = tightness = None
     if structured:
         # c at log z is periodic with period kappa for a subgroup, so its
         # first period, each value taken by n(n-1)/period ordered pairs,
         # is the census
-        period = n_cols - 1
-        paths["census_source"] = "multiplier-sums"
         if frame.subgroup is not None:
-            kappa = period = frame.subgroup.kappa
+            kappa = frame.subgroup.kappa
+            values = coset_sums(frame.subgroup)
             paths["census_source"] = "coset-sums"
-        values = multiplier_sums(frame.ctx, frame.multiplier_values)[:period]
+        else:
+            values = multiplier_sums(frame.ctx, frame.multiplier_values)
+            paths["census_source"] = "multiplier-sums"
+        period = len(values)
         fast_mu = float(np.max(np.abs(values)))
         fast_nu = float(abs(values.sum() * ((n_cols - 1) // period))
                         / (n_cols - 1))
         reps, counts = cluster_complex(values, tol=cluster_tol)
-        census = list(zip(reps.tolist(),
-                          (counts * (n_cols * (n_cols - 1) // period))
-                          .tolist()))
+        scale = n_cols * (n_cols - 1) // period
         paths["mu_fast"] = fast_mu
         paths["nu_fast"] = fast_nu
         # (FF*)[a, b] = (1/m) sum_x w**Tr((a - b) x) = (n/m) [a = b]
@@ -504,11 +555,13 @@ def analyze(frame, brute: str = "auto", log_base: float | None = None,
         if structured:
             _judge_gap(paths, "mu_gap", fast_mu, mu)
         else:
-            census = bf["distinct_values"]
+            reps, counts = (np.array(x)
+                            for x in zip(*bf["distinct_values"]))
+            scale = 1
             paths["census_source"] = "gram"
 
     return _census_report(
-        n_cols, m_rows, mu, nu, census, log_base=log_base,
+        n_cols, m_rows, mu, nu, reps, counts, scale, log_base=log_base,
         cluster_tol=cluster_tol, mean_sq=mean_sq, kappa=kappa,
         tightness_residual=tightness, provenance=dict(frame.provenance),
         random_fourier=random_fourier_bound(n_cols, m_rows),

@@ -132,17 +132,18 @@ def sl2_report(q: int, m: int, mode: str,
         sl2_bound = None
     signed = sign * sums[:(p - 1) // 2] / (m * deg)
 
+    # every class value is taken by n * (class mass) ordered pairs; the
+    # common factor n is the census scale
     sizes = {kind: (count, size)
              for kind, count, size in sl2_class_data(q).families}
-    values = [sign / deg] + signed.tolist() + [0.0]
-    weights = [n * (q * q - 1)]
-    weights += [n * sizes[carrier][1]] * len(signed)
-    weights += [n * sizes[silent][0] * sizes[silent][1]]
-    reps, counts = cluster_complex(np.array(values, dtype=np.complex128),
-                                   weights=weights)
+    values = np.concatenate(([sign / deg], signed, [0.0]))
+    weights = np.concatenate((
+        [q * q - 1], np.full(len(signed), sizes[carrier][1]),
+        [sizes[silent][0] * sizes[silent][1]]))
+    reps, counts = cluster_complex(values, weights=weights)
     return _census_report(
         n, m * deg ** 2, float(max(u, w.max())), 1.0 / (n - 1),
-        list(zip(reps.tolist(), counts.tolist())), log_base=log_base,
+        reps, counts, n, log_base=log_base,
         paths={"census_source": "class-functions",
                "nu_source": "group-frame-identity"},
         provenance={

@@ -6,15 +6,18 @@ field tables, so the tests can hold the construction to the facts the
 paper proves: Paley difference sets at kappa = 2, -1 in the half-way
 coset, the translation-degree row sums, the beta modulus of the w-vector
 and the orbit form of the mean-square bound.  Elements are base-p values
-(ints); zero has no log, no inverse and no coset.
+(ints); zero has no log, no inverse and no coset.  Two oracles check the
+fast kernels: character sums from exact trace-value counts, and the
+census clustering by full re-sorts of every group on every pass.
 """
 
 import math
 
 import numpy as np
 
-from groupframes.coherence import welch_bound
+from groupframes.coherence import CLUSTER_TOL, welch_bound
 from groupframes.errors import BadShape
+from groupframes.frames import roots_of_unity
 from groupframes.gf import is_prime
 from groupframes.sl2 import Q_CAP
 
@@ -134,6 +137,65 @@ def parity_of_minus_one(spec):
     return {"in_A": coset == 0, "coset": coset,
             "is_half_kappa": spec.kappa % 2 == 0
             and coset == spec.kappa // 2}
+
+
+# ---------------------------------------------------------------------------
+# character sums and census clustering
+# ---------------------------------------------------------------------------
+
+
+def histogram_sums(ctx, multiplier_values, count):
+    """Exact oracle for the multiplier sums at log z = 0 .. count-1:
+    integer counts of each trace value Tr(a z), one complex combination at
+    the end."""
+    mv = np.asarray(multiplier_values, dtype=np.int64)
+    p, order = ctx.p, ctx.n - 1
+    logs = ctx.log_of_value[mv[mv != 0]]
+    ell = np.arange(count, dtype=np.int64)
+    tr = ctx.trace_of_exp[(logs[:, None] + ell[None, :]) % order]
+    counts = np.bincount((ell * p + tr).ravel(),
+                         minlength=count * p).reshape(count, p)
+    counts[:, 0] += np.count_nonzero(mv == 0)  # Tr(0 z) = 0
+    return counts @ roots_of_unity(p) / len(mv)
+
+
+def _split_gaps(labels, x, tol):
+    # relabel so that each group is cut wherever its values, sorted, leave
+    # a gap wider than tol
+    order = np.lexsort((x, labels))
+    cut = np.ones(len(x), dtype=bool)
+    cut[1:] = (np.diff(labels[order]) != 0) | (np.diff(x[order]) > tol)
+    out = np.empty_like(labels)
+    out[order] = np.cumsum(cut) - 1
+    return out
+
+
+def cluster_complex_resort(values, weights=None, tol=CLUSTER_TOL):
+    """Oracle for cluster_complex: every pass lexsorts all values by
+    (group, part) and cuts every group, until a pass cuts nothing."""
+    vals = np.asarray(values, dtype=np.complex128).ravel()
+    parts = (vals.real, vals.imag)
+    labels = _split_gaps(np.zeros(len(vals), dtype=np.int64), parts[0], tol)
+    groups, axis = int(labels.max(initial=-1)) + 1, 1
+    while True:
+        labels = _split_gaps(labels, parts[axis], tol)
+        found = int(labels.max(initial=-1)) + 1
+        if found == groups:
+            break
+        groups, axis = found, 1 - axis
+    if weights is None:
+        w = np.ones(len(vals))
+        counts = np.bincount(labels, minlength=groups)
+    else:
+        ints = [int(x) for x in weights]
+        w = np.array(ints, dtype=np.float64)
+        counts = np.zeros(groups, dtype=object)
+        np.add.at(counts, labels, ints)
+    sums = (np.bincount(labels, vals.real * w, minlength=groups)
+            + 1j * np.bincount(labels, vals.imag * w, minlength=groups))
+    reps = sums / counts.astype(np.float64)
+    order = np.lexsort((np.round(reps.imag / tol), np.round(reps.real / tol)))
+    return reps[order], counts[order]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ import os
 import numpy as np
 import pytest
 
-from groupframes.cli import main
+import groupframes.cli as cli
+from groupframes.cli import BINS_CAP, BOUNDS_ROW_CAP, main
 from groupframes.coherence import analyze
 from groupframes.frames import build_field_frame, load_frame
 from groupframes.gf import is_prime
@@ -377,6 +378,50 @@ def test_bounds_regime_snaps(tmp_path):
 def test_bounds_mutual_exclusion(capsys):
     assert main(["bounds", "--kappa", "2", "--regime", "n45",
                  "--n-min", "10", "--n-max", "20"]) == 2
+
+
+def test_size_caps_refuse_before_work(tmp_path, monkeypatch, capsys):
+    # --bins above its cap and a bounds range past the row or the divisor
+    # trial cap exit 3 with one JSON line, before any analysis or row
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started past a cap")
+
+    for name in ("analyze", "sl2_report", "_bound_row"):
+        monkeypatch.setattr(cli, name, no_work)
+    hist = str(tmp_path / "h.csv")
+    big = 10 ** 12
+    for argv in (
+            ["analyze", "--field", "3", "3", "--m", "13", "--histogram",
+             hist, "--bins", str(BINS_CAP + 1)],
+            ["analyze", "--sl2", "8", "3", "--histogram", hist, "--bins",
+             "1000000000"],
+            ["bounds", "--kappa", "1", "--n-min", "2", "--n-max",
+             str(BOUNDS_ROW_CAP + 2)],
+            ["bounds", "--kappa", "1", "--n-min", "2", "--n-max", str(big)],
+            ["bounds", "--regime", "n45", "--n-min", str(big - 200),
+             "--n-max", str(big)]):
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "ResourceCap"
+    assert not os.path.exists(hist)
+
+
+def test_size_caps_admit_their_limit(tmp_path):
+    # the largest row count, and a bin count at the cap without a
+    # histogram to fill, still run
+    out = str(tmp_path / "b.csv")
+    assert main(["bounds", "--kappa", "7", "--n-min", "2", "--n-max",
+                 str(BOUNDS_ROW_CAP + 1), "--out", out]) == 0
+    with open(out) as fh:
+        assert len(fh.readlines()) == 1 + BOUNDS_ROW_CAP // 7
+    assert main(["analyze", "--field", "3", "3", "--m", "13", "--bins",
+                 str(BINS_CAP + 1), "--report", out]) == 0
+    hist = str(tmp_path / "h.csv")
+    assert main(["analyze", "--sl2", "8", "3", "--report", out,
+                 "--histogram", hist, "--bins", "100000"]) == 0
+    with open(hist) as fh:
+        assert len(fh.readlines()) == 100001
 
 
 def test_scratch_env_respected(tmp_path, monkeypatch):

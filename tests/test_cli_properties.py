@@ -3,8 +3,8 @@
 Whatever the subcommand, flag values, input file or output path, main
 returns 0, 2, 3 or 4, no exception escapes it, and stderr is empty or one
 JSON line with "error" and "message".  The draws are derandomized and
-bounded: fields stay small, and values above a size cap only reach its
-refusal.
+bounded: fields stay small, and values above a size cap (a field degree,
+a bin count, a bounds range) only reach its refusal.
 """
 
 import contextlib
@@ -77,7 +77,7 @@ COMMANDS = {
     "analyze": (["field", "field", "harmonic", "sl2", "sl2", "none"], [],
                 [("--report", PATH), ("--histogram", PATH),
                  ("--bins", values(["1", "5", "200"], ["0", "-1", "x",
-                                                       None])),
+                                                       "1000000000", None])),
                  ("--brute", values(["on", "off", "auto"], ["maybe", None])),
                  ("--log-base", LOG_BASE)] + RANDOM),
     "compare": (["none"],
@@ -89,7 +89,8 @@ COMMANDS = {
     "bounds": (["kappa", "kappa", "regime", "none"],
                [("--n-min", values(["2", "4", "100"], ["1", "0", "-7", "x",
                                                        None])),
-                ("--n-max", values(["40", "500"], ["1", "-3", "x", None]))],
+                ("--n-max", values(["40", "500"], ["1", "-3", "x",
+                                                   "1000000000000", None]))],
                [("--step", values(["1", "7"], ["0", "-1", "x", None])),
                 ("--log-base", LOG_BASE), ("--out", PATH)]),
 }

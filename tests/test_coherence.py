@@ -46,7 +46,13 @@ from groupframes.frames import (
 from groupframes.gf import build_field, is_prime
 from groupframes.sl2 import sl2_report
 from groupframes.subgroups import subgroup_of_order
-from oracles import bound_orbit_min, parity_of_minus_one, w_vector_check
+from oracles import (
+    bound_orbit_min,
+    cluster_complex_resort,
+    histogram_sums,
+    parity_of_minus_one,
+    w_vector_check,
+)
 
 
 def test_roots_of_unity_exact_for_p2():
@@ -168,21 +174,6 @@ def test_multiplier_sums_extend_coset_sums():
         assert abs(ms[ell] - cs[ell % spec.kappa]) < 1e-12
 
 
-def histogram_sums(ctx, multiplier_values, count):
-    """Exact oracle for multiplier_sums at log z = 0 .. count-1: integer
-    counts of each trace value Tr(a z), one complex combination at the
-    end."""
-    mv = np.asarray(multiplier_values, dtype=np.int64)
-    p, order = ctx.p, ctx.n - 1
-    logs = ctx.log_of_value[mv[mv != 0]]
-    ell = np.arange(count, dtype=np.int64)
-    tr = ctx.trace_of_exp[(logs[:, None] + ell[None, :]) % order]
-    counts = np.bincount((ell * p + tr).ravel(),
-                         minlength=count * p).reshape(count, p)
-    counts[:, 0] += np.count_nonzero(mv == 0)  # Tr(0 z) = 0
-    return counts @ roots_of_unity(p) / len(mv)
-
-
 def _fields(limit):
     for p in range(2, limit + 1):
         if is_prime(p):
@@ -205,6 +196,27 @@ def test_multiplier_sums_match_histogram_oracle_on_subgroups():
             want = histogram_sums(ctx, spec.element_values, spec.kappa)
             worst = max(worst, float(np.max(np.abs(
                 got - want[np.arange(order) % spec.kappa]))))
+            cases += 1
+    assert cases == 2162
+    assert worst <= 1e-12
+
+
+def test_coset_sums_match_histogram_oracle_on_subgroups():
+    # the column sums of the reshaped phase table against exact trace
+    # counts, on every subgroup of every field with n <= 1024; for p = 2
+    # both are integers over m, bit for bit
+    worst, cases = 0.0, 0
+    for p, r in _fields(1024):
+        ctx = build_field(p, r)
+        order = ctx.n - 1
+        for m in [d for d in range(1, order + 1) if order % d == 0]:
+            spec = subgroup_of_order(ctx, m)
+            got = coset_sums(spec)
+            want = histogram_sums(ctx, spec.element_values, spec.kappa)
+            assert got.shape == (spec.kappa,)
+            if p == 2:
+                assert np.array_equal(got, want), (r, m)
+            worst = max(worst, float(np.max(np.abs(got - want))))
             cases += 1
     assert cases == 2162
     assert worst <= 1e-12
@@ -299,8 +311,8 @@ def test_cluster_complex_merges_across_grid_lines():
     # a chain of neighbours within tol is one cluster; a wider gap splits
     reps, counts = cluster_complex([0.0, 0.8e-9, 1.6e-9, 5e-9], tol=1e-9)
     assert counts.tolist() == [3, 1]
-    mags = _magnitude_census([(0.5e-9 - 1e-13, 3), (-0.5e-9 - 1e-13j, 4)],
-                             tol=1e-9)
+    mags = _magnitude_census(np.array([0.5e-9 - 1e-13, -0.5e-9 - 1e-13j]),
+                             np.array([3, 4]), tol=1e-9)
     assert [c for _, c in mags] == [7]
 
 
@@ -309,6 +321,41 @@ def test_cluster_complex_exact_large_weights():
     reps, counts = cluster_complex([0.25, 0.25, 0.5], weights=[big, big, 1])
     assert counts.tolist() == [2 * big, 1]
     assert reps.tolist() == [0.25, 0.5]
+
+
+def _cluster_cases():
+    # seeded inputs where the passes matter: values on a lattice near the
+    # tolerance, so chains cross grid lines and cut in both parts, exact
+    # duplicates, spread in the imaginary part only, one value, none
+    rng = np.random.default_rng(8)
+    tol = 1e-9
+    for _ in range(300):
+        size = int(rng.integers(1, 400))
+        steps = rng.choice([0.3, 0.9, 1.0, 1.1, 2.5], size=2) * tol
+        re = rng.integers(0, int(rng.integers(1, 30)), size) * steps[0]
+        im = rng.integers(0, int(rng.integers(1, 30)), size) * steps[1]
+        jitter = rng.normal(0.0, 0.05 * tol, (2, size)) \
+            * (rng.random(size) < 0.5)
+        yield (re + jitter[0]) + 1j * (im + jitter[1]), None
+        yield 1j * (im + jitter[1]), None
+        yield np.repeat(re[:5] + 1j * im[:5], 40), None
+        yield re + 1j * im, rng.integers(1, 2 ** 20, size)
+    yield rng.normal(size=2000) + 1j * rng.normal(size=2000), None
+    yield [0.3 - 0.1j], None
+    yield [], None
+    yield [], []
+    yield np.array([0.25, 0.25 + 2e-10, 0.5, 0.5j]), \
+        [2 ** 70, 2 ** 69, 3, 2 ** 64]
+
+
+def test_cluster_complex_matches_resort_oracle():
+    for values, weights in _cluster_cases():
+        reps, counts = cluster_complex(values, weights=weights)
+        want_reps, want_counts = cluster_complex_resort(values,
+                                                        weights=weights)
+        assert reps.dtype == want_reps.dtype
+        assert np.array_equal(reps, want_reps, equal_nan=True)
+        assert counts.tolist() == want_counts.tolist()
 
 
 def test_analyze_skips_gram_census_when_sums_give_it(monkeypatch):
@@ -416,19 +463,41 @@ def test_analyze_exact_tightness_above_complex_cap(monkeypatch):
 
 
 def test_analyze_route_gap_raises(monkeypatch):
-    real = coherence.multiplier_sums
+    # a perturbed character sum shows as a gap to the dense route, for the
+    # coset sums of a subgroup and the multiplier sums of a random list
+    def perturbed(real):
+        def kernel(*args):
+            values = real(*args)
+            values[0] += 1e-6
+            return values
+        return kernel
 
-    def perturbed(ctx, multiplier_values):
-        values = real(ctx, multiplier_values)
-        values[0] += 1e-6
-        return values
+    for name, frame in (
+            ("coset_sums", build_field_frame(3, 3, 13)),
+            ("multiplier_sums",
+             build_random_exponent_frame(3, 3, 13, seed=4))):
+        with monkeypatch.context() as patch:
+            patch.setattr(coherence, name,
+                          perturbed(getattr(coherence, name)))
+            with pytest.raises(InvariantViolation, match="gap"):
+                analyze(frame, brute="on")
+            # one route only: nothing to judge
+            assert analyze(frame, brute="off").mu > 0
 
-    monkeypatch.setattr(coherence, "multiplier_sums", perturbed)
-    frame = build_field_frame(3, 3, 13)
-    with pytest.raises(InvariantViolation, match="gap"):
-        analyze(frame, brute="on")
-    # one route only: nothing to judge
-    assert analyze(frame, brute="off").mu > 0
+
+def test_analyze_takes_subgroup_sums_from_coset_sums(monkeypatch):
+    calls = {"coset_sums": 0, "multiplier_sums": 0}
+    for name in calls:
+        def spy(*args, _real=getattr(coherence, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(coherence, name, spy)
+    for frame in (build_field_frame(3, 3, 13), build_hadamard_frame(8, 51),
+                  build_harmonic_frame(13, 4)):
+        analyze(frame, brute="off")
+    assert calls == {"coset_sums": 3, "multiplier_sums": 0}
+    analyze(build_random_exponent_frame(3, 3, 13, seed=2), brute="off")
+    assert calls == {"coset_sums": 3, "multiplier_sums": 1}
 
 
 def test_analyze_random_frame_not_tight_label():
@@ -474,12 +543,32 @@ def test_analyze_report_dict_schema():
 
 def test_census_report_checks_total():
     # the multiplicities must cover the n(n-1) ordered pairs exactly
-    census = [(0.5 + 0j, 12), (-0.25 + 0j, 8)]
-    assert _census_report(5, 2, 0.5, 0.25, census, provenance={}).n == 5
-    for bad in ([(0.5 + 0j, 12), (-0.25 + 0j, 7)],
-                [(0.5 + 0j, 12), (-0.25 + 0j, 9)]):
+    values = np.array([0.5 + 0j, -0.25 + 0j])
+    assert _census_report(5, 2, 0.5, 0.25, values, np.array([12, 8]),
+                          provenance={}).n == 5
+    rep = _census_report(5, 2, 0.5, 0.25, values, np.array([3, 2]), 4,
+                         provenance={})
+    assert [c for _, c in rep.distinct_values] == [12, 8]
+    for bad in ([12, 7], [12, 9]):
         with pytest.raises(InvariantViolation, match="ordered pairs"):
-            _census_report(5, 2, 0.5, 0.25, bad, provenance={})
+            _census_report(5, 2, 0.5, 0.25, values, np.array(bad),
+                           provenance={})
+
+
+def test_census_report_exact_past_int64():
+    # n(n-1) past 2**63: the pair counts are Python ints, and the mean
+    # square sums the same terms as a Python loop over the census
+    n = 2 ** 40
+    values = np.array([0.25 + 0.5j, -1e-3 + 0j, 0.125 + 0j])
+    counts = np.array([2 ** 39, 2 ** 38, 2 ** 38 - 1])
+    rep = _census_report(n, 3, 0.6, 0.0, values, counts, n, provenance={})
+    pairs = [int(c) * n for c in counts]
+    assert [c for _, c in rep.distinct_values] == pairs
+    assert sum(c for _, c in rep.distinct_magnitudes) == n * (n - 1)
+    loop = 0.0
+    for v, c in zip(values.tolist(), pairs):
+        loop += c * abs(v) ** 2
+    assert rep.gram_offdiag_mean_sq == loop / (n * (n - 1))
 
 
 def test_bound_m_odd_reported_only_where_valid():
