@@ -23,6 +23,8 @@ import statistics
 import sys
 import tempfile
 from contextlib import contextmanager
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -54,9 +56,11 @@ TABLE_I = ((8, 51), (8, 85), (9, 73), (10, 341), (12, 455))
 TABLE_II = ((3, 3, 13), (3, 5, 121), (3, 7, 1093), (7, 3, 171), (11, 3, 665))
 TABLE_IV = ((4, 1), (8, 1), (8, 3))
 DEFAULT_SEEDS = (1, 2, 3)
-# np.histogram and the CSV rows cost time and memory per bin: 10**6 bins
-# took 4.2 s and 257 MiB on the widest census (README)
+# the histogram rows cost time and memory per bin: 10**6 bins took 2.2 s
+# and 160 MiB on the widest census (README)
 BINS_CAP = 10 ** 6
+# histogram rows formatted per block, which bounds the temporary strings
+_CSV_BLOCK = 2 ** 16
 # bounds visits every n of its range; --regime also tries every divisor
 # candidate up to sqrt(n - 1) for each row (README)
 BOUNDS_ROW_CAP = 10 ** 5
@@ -115,8 +119,64 @@ def _write_text(path: str | None, text: str):
             fh.write(text)
 
 
+# a report's census lists: the sorted keys of each entry, and the
+# %-template of one entry as json.dumps(sort_keys=True, indent=2) writes it
+# in a top-level list
+_CENSUS_JSON = {
+    "distinct_values": (("count", "im", "re"),
+                        '    {\n      "count": %d,\n      "im": %r,\n'
+                        '      "re": %r\n    }'),
+    "distinct_magnitudes": (("count", "value"),
+                            '    {\n      "count": %d,\n'
+                            '      "value": %r\n    }'),
+}
+
+
+def _census_json(entries, keys: tuple, template: str) -> str | None:
+    # the indented JSON of a top-level census list, one %-template per
+    # entry; None unless it is a nonempty list of dicts with exactly these
+    # keys, an int count and finite floats
+    if not isinstance(entries, list) or not entries \
+            or set(map(type, entries)) != {dict} \
+            or set(map(len, entries)) != {len(keys)}:
+        return None
+    try:
+        flat = list(chain.from_iterable(map(itemgetter(*keys), entries)))
+    except KeyError:
+        return None
+    width = len(keys)
+    floats = [x for i in range(1, width) for x in flat[i::width]]
+    if set(map(type, flat[::width])) != {int} \
+            or set(map(type, floats)) != {float} \
+            or not all(map(math.isfinite, floats)):
+        return None
+    return "[\n" + ",\n".join([template] * len(entries)) % tuple(flat) \
+        + "\n  ]"
+
+
 def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """json.dumps(obj, sort_keys=True, indent=2) and a newline.
+
+    An indented dump runs the pure-Python encoder, which takes seconds on
+    a census of 10**5 values, so the census lists of a report are written
+    with one %-template per entry and spliced into the dump of the rest;
+    where an entry is not the plain ints and finite floats to_dict writes,
+    json.dumps writes the list.
+    """
+    spliced = {}
+    if isinstance(obj, dict):
+        for key, (keys, template) in _CENSUS_JSON.items():
+            text = _census_json(obj.get(key), keys, template)
+            if text is not None:
+                spliced[key] = text
+    if spliced:
+        obj = {k: [] if k in spliced else v for k, v in obj.items()}
+    text = json.dumps(obj, sort_keys=True, indent=2)
+    for key, body in spliced.items():
+        # a raw newline cannot sit inside a JSON string, and nested keys
+        # are indented deeper, so this is the top-level key
+        text = text.replace(f'\n  "{key}": []', f'\n  "{key}": {body}', 1)
+    return text + "\n"
 
 
 def _cell(v) -> str:
@@ -234,19 +294,32 @@ def cmd_construct(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _histogram_csv(magnitudes: list, bins: int) -> str:
-    # magnitudes: the report's (value, count) pairs
+    # magnitudes: the report's (value, count) pairs; the bins are those of
+    # np.histogram over [0, max], each closed on the left and the last
+    # closed on both sides
     vals = np.array([v for v, _ in magnitudes], dtype=np.float64)
-    # counts can exceed int64 (SL2 at the largest q); keep them exact
-    cnts = np.array([c for _, c in magnitudes], dtype=object)
+    cnts = [c for _, c in magnitudes]
     hi = float(vals.max()) if len(vals) else 0.0
     if hi <= 0.0:
         hi = 1.0
-    counts, edges = np.histogram(vals, bins=bins, range=(0.0, hi),
-                                 weights=cnts)
-    lines = ["bin_left,bin_right,count"]
-    for i, c in enumerate(counts):
-        lines.append(f"{edges[i]:.17g},{edges[i + 1]:.17g},{int(c)}")
-    return "\n".join(lines) + "\n"
+    edges = np.histogram_bin_edges(vals, bins=bins, range=(0.0, hi))
+    where = np.minimum(np.searchsorted(edges, vals, side="right") - 1,
+                       bins - 1)
+    # counts can exceed int64 (SL2 at the largest q); keep them exact
+    counts = np.zeros(bins, dtype=np.int64 if sum(cnts) < 2 ** 63
+                      else object)
+    np.add.at(counts, where, np.array(cnts, dtype=counts.dtype))
+    # one %-template per row, a block of rows at a time; each edge is
+    # formatted once, the right edge of a bin being the left of the next
+    parts = ["bin_left,bin_right,count\n"]
+    for lo in range(0, bins, _CSV_BLOCK):
+        end = min(lo + _CSV_BLOCK, bins)
+        cells = ("%.17g," * (end - lo + 1)
+                 % tuple(edges[lo:end + 1].tolist())).split(",")
+        rows = zip(cells[:-2], cells[1:-1], counts[lo:end].tolist())
+        parts.append("%s,%s,%d\n" * (end - lo)
+                     % tuple(chain.from_iterable(rows)))
+    return "".join(parts)
 
 
 def cmd_analyze(args) -> int:

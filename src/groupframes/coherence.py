@@ -6,11 +6,13 @@ column difference z = x_j - x_i, so the full inner-product census reduces
 to the n-1 sums c_z = (1/m) sum_a w**Tr(az).  When the multipliers form a
 subgroup A, c is constant on the kappa cosets of A, so the kappa Gauss
 periods are the whole census, and one pass over the trace table gives
-them.  For any other multiplier list the sums, indexed by discrete log,
-are one cyclic correlation, computed by FFT.  The dense checks on the
-materialized matrix and the brute-force Gram path are kept as an
-independent oracle; wherever both routes run, a gap between them above
-ROUTE_TOL is an InvariantViolation.
+them.  For any other multiplier list the sums are one additive-character
+transform of the multiplier-key histogram over F_q = (Z_p)**r, the
+Walsh-Hadamard transform when p = 2: r radix-p passes over a length-n
+array, exact for p = 2, then read in discrete-log order.  The dense
+checks on the materialized matrix and the brute-force Gram path are kept
+as an independent oracle; wherever both routes run, a gap between them
+above ROUTE_TOL is an InvariantViolation.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .frames import (
     COMPLEX_CELL_CAP,
     ComplexFrame,
     ExponentFrame,
+    dual_basis_keys,
     materialize,
     roots_of_unity,
 )
@@ -42,6 +45,9 @@ CLUSTER_TOL = 1e-9
 # largest gap allowed between the character-sum and the dense value of mu
 # or nu
 ROUTE_TOL = 1e-9
+# largest character table multiplier_sums applies as one matrix; a digit
+# of p > _BLOCK is transformed by FFT
+_BLOCK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -160,31 +166,60 @@ def coset_sums(spec: SubgroupSpec) -> np.ndarray:
     return phases.reshape(spec.m, spec.kappa).sum(axis=0) / spec.m
 
 
+def _character_table(p: int, digits: int) -> np.ndarray:
+    # w**(j.k) for digit vectors j, k of length `digits`: the character
+    # table of (Z_p)**digits, real (+-1) for p = 2
+    dig = np.arange(p ** digits)[:, None] // p ** np.arange(digits) % p
+    table = roots_of_unity(p)[dig @ dig.T % p]
+    return table.real.copy() if p == 2 else table
+
+
+def _character_transform(x: np.ndarray, p: int, r: int) -> np.ndarray:
+    # (W x)[v] = sum_k w**(v.k) x[k] over (Z_p)**r, x indexed by packed
+    # value; W is the r-fold tensor power of the p x p table, applied one
+    # block of digits at a time
+    if p > _BLOCK:
+        x = x.reshape((p,) * r)
+        for axis in range(r):
+            x = np.fft.ifft(x, axis=axis) * p
+        return x.ravel()
+    per_block = 1
+    while p ** (per_block + 1) <= _BLOCK:
+        per_block += 1
+    below = 1  # p**(digits already transformed): the stride of a block
+    for lo in range(0, r, per_block):
+        table = _character_table(p, min(per_block, r - lo))
+        size = len(table)
+        if below == 1:
+            # the lowest digits, one product (the table is symmetric)
+            x = x.reshape(-1, size) @ table
+        else:
+            x = np.matmul(table, x.reshape(-1, size, below))
+        below *= size
+    return x.ravel()
+
+
 def multiplier_sums(ctx: FieldCtx, multiplier_values) -> np.ndarray:
     """c_z = (1/m) sum_a w**Tr(az) for every z != 0, indexed by log z.
 
     Works for any multiplier list (zero allowed, repeats counted), which
-    covers the random baselines.  With k_a = log a, the sum at log z = l
-    is sum_a phase[k_a + l], a cyclic correlation of the multiplier-log
-    indicator with phase = w**trace_of_exp, so one FFT round computes all
-    n-1 sums in O(n log n) time and O(n) memory; each zero multiplier adds
-    w**0 = 1 everywhere.  For p = 2 the sums are integers before the
-    division by m, and rounding makes them exact.
+    covers the random baselines.  Tr(az) = sum_j z_j Tr(a t**j), so with
+    h the histogram of the multiplier keys (dual_basis_keys) the sums, in
+    packed-value order, are m c = W h for W the character table of
+    F_q = (Z_p)**r: for p = 2 the Walsh-Hadamard transform, the Sylvester
+    matrix.  W is applied as r radix-p passes over a length-n array,
+    blocks of digits at a time (one p**g x p**g table with p**g <= 64, or
+    an FFT along a digit of p > 64): O(n r) time and O(n) memory.  A zero
+    multiplier has key 0 and adds 1 everywhere.  For p = 2 the table and
+    the counts are integers, so the sums are exact before the division
+    by m.
     """
     mv = np.asarray(multiplier_values, dtype=np.int64)
-    order = ctx.n - 1
-    nonzero = mv[mv != 0]
-    indicator = np.bincount(ctx.log_of_value[nonzero], minlength=order)
-    phases = roots_of_unity(ctx.p)[ctx.trace_of_exp]
-    if ctx.p == 2:
-        total = np.rint(np.fft.irfft(
-            np.conj(np.fft.rfft(indicator)) * np.fft.rfft(phases.real),
-            order))
-    else:
-        total = np.fft.ifft(np.conj(np.fft.fft(indicator))
-                            * np.fft.fft(phases))
-    total = total + (len(mv) - len(nonzero))
-    return total.astype(np.complex128) / len(mv)
+    hist = np.bincount(dual_basis_keys(ctx, mv), minlength=ctx.n)
+    total = _character_transform(
+        hist.astype(np.float64 if ctx.p == 2 else np.complex128),
+        ctx.p, ctx.r)
+    return total[ctx.value_of_exp].astype(np.complex128) / len(mv)
 
 
 def inner_product_exact(frame: ExponentFrame, i: int, j: int) -> complex:

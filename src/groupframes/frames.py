@@ -155,23 +155,35 @@ def build_harmonic_frame(n: int, m: int) -> ExponentFrame:
     return f
 
 
-def _sylvester_row_labels(ctx: FieldCtx, multiplier_values) -> list[int]:
-    # row for multiplier a equals the Sylvester-Hadamard row whose index
-    # has bit j equal to Tr(a t**j), matching the column relabeling
-    # x -> sum x_j 2**j; the zero multiplier is row 0
+def dual_basis_keys(ctx: FieldCtx, multiplier_values) -> np.ndarray:
+    """key(a) = sum_j Tr(a t**j) p**j for each multiplier a, as int64.
+
+    The digits Tr(a t**j) are the coordinates of a in the basis dual to
+    1, t, ..., t**(r-1) under the trace form, so Tr(az) = sum_j z_j
+    Tr(a t**j) for z = sum_j z_j t**j: the character x -> w**Tr(ax) is
+    row key(a) of the character table of (Z_p)**r, whose columns are the
+    packed values.  For p = 2 that table is the Sylvester-Hadamard matrix.
+    The zero multiplier has key 0.
+    """
     mv = np.asarray(multiplier_values, dtype=np.int64)
-    mono_logs = ctx.log_of_value[2 ** np.arange(ctx.r)]
-    logs = ctx.log_of_value[mv][:, None] + mono_logs[None, :]
-    bits = ctx.trace_of_exp[logs % (ctx.n - 1)].astype(np.int64)
-    labels = bits @ (1 << np.arange(ctx.r, dtype=np.int64))
-    return np.where(mv == 0, 0, labels).tolist()
+    order = ctx.n - 1
+    logs = ctx.log_of_value[mv].astype(np.int64)
+    keys = np.zeros(len(mv), dtype=np.int64)
+    for j in range(ctx.r):
+        # t**j has packed value p**j
+        shift = int(ctx.log_of_value[ctx.p ** j])
+        digit = ctx.trace_of_exp[(logs + shift) % order].astype(np.int64)
+        keys += ctx.p ** j * digit
+    keys[mv == 0] = 0
+    return keys
 
 
 def _with_sylvester_rows(ef: ExponentFrame,
                          construction: str) -> ExponentFrame:
     ef.provenance.update({
         "construction": construction,
-        "sylvester_rows": _sylvester_row_labels(ef.ctx, ef.multiplier_values),
+        "sylvester_rows": dual_basis_keys(ef.ctx,
+                                          ef.multiplier_values).tolist(),
     })
     return ef
 

@@ -6,9 +6,11 @@ field tables, so the tests can hold the construction to the facts the
 paper proves: Paley difference sets at kappa = 2, -1 in the half-way
 coset, the translation-degree row sums, the beta modulus of the w-vector
 and the orbit form of the mean-square bound.  Elements are base-p values
-(ints); zero has no log, no inverse and no coset.  Two oracles check the
-fast kernels: character sums from exact trace-value counts, and the
-census clustering by full re-sorts of every group on every pass.
+(ints); zero has no log, no inverse and no coset.  Oracles check the
+fast kernels: character sums from exact trace-value counts and from the
+length-(n-1) FFT correlation the package once used, the Sylvester row
+labels bit by bit, and the census clustering by full re-sorts of every
+group on every pass.
 """
 
 import math
@@ -159,6 +161,41 @@ def histogram_sums(ctx, multiplier_values, count):
     return counts @ roots_of_unity(p) / len(mv)
 
 
+def fft_correlation_sums(ctx, multiplier_values):
+    """Oracle for multiplier_sums: with k_a = log a, the sum at log z = l
+    is sum_a phase[k_a + l], a cyclic correlation of the multiplier-log
+    indicator with phase = w**trace_of_exp, computed by one FFT round of
+    length n-1; each zero multiplier adds 1 everywhere.  For p = 2 the
+    sums are rounded to exact integers before the division by m."""
+    mv = np.asarray(multiplier_values, dtype=np.int64)
+    order = ctx.n - 1
+    nonzero = mv[mv != 0]
+    indicator = np.bincount(ctx.log_of_value[nonzero], minlength=order)
+    phases = roots_of_unity(ctx.p)[ctx.trace_of_exp]
+    if ctx.p == 2:
+        total = np.rint(np.fft.irfft(
+            np.conj(np.fft.rfft(indicator)) * np.fft.rfft(phases.real),
+            order))
+    else:
+        total = np.fft.ifft(np.conj(np.fft.fft(indicator))
+                            * np.fft.fft(phases))
+    total = total + (len(mv) - len(nonzero))
+    return total.astype(np.complex128) / len(mv)
+
+
+def sylvester_row_labels(ctx, multiplier_values):
+    """Oracle for the Sylvester labels of p = 2 rows: the row for
+    multiplier a is the Sylvester-Hadamard row whose index has bit j equal
+    to Tr(a t**j), matching the column relabeling x -> sum x_j 2**j; the
+    zero multiplier is row 0."""
+    mv = np.asarray(multiplier_values, dtype=np.int64)
+    mono_logs = ctx.log_of_value[2 ** np.arange(ctx.r)]
+    logs = ctx.log_of_value[mv][:, None] + mono_logs[None, :]
+    bits = ctx.trace_of_exp[logs % (ctx.n - 1)].astype(np.int64)
+    labels = bits @ (1 << np.arange(ctx.r, dtype=np.int64))
+    return np.where(mv == 0, 0, labels).tolist()
+
+
 def _split_gaps(labels, x, tol):
     # relabel so that each group is cut wherever its values, sorted, leave
     # a gap wider than tol
@@ -196,6 +233,22 @@ def cluster_complex_resort(values, weights=None, tol=CLUSTER_TOL):
     reps = sums / counts.astype(np.float64)
     order = np.lexsort((np.round(reps.imag / tol), np.round(reps.real / tol)))
     return reps[order], counts[order]
+
+
+def histogram_csv_np(magnitudes, bins):
+    """Oracle for cli._histogram_csv: np.histogram with the exact Python
+    int counts as object weights, one f-string per bin."""
+    vals = np.array([v for v, _ in magnitudes], dtype=np.float64)
+    cnts = np.array([c for _, c in magnitudes], dtype=object)
+    hi = float(vals.max()) if len(vals) else 0.0
+    if hi <= 0.0:
+        hi = 1.0
+    counts, edges = np.histogram(vals, bins=bins, range=(0.0, hi),
+                                 weights=cnts)
+    lines = ["bin_left,bin_right,count"]
+    for i, c in enumerate(counts):
+        lines.append(f"{edges[i]:.17g},{edges[i + 1]:.17g},{int(c)}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

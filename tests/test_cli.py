@@ -11,13 +11,71 @@ import pytest
 import groupframes.cli as cli
 from groupframes.cli import BINS_CAP, BOUNDS_ROW_CAP, main
 from groupframes.coherence import analyze
-from groupframes.frames import build_field_frame, load_frame
+from groupframes.frames import (
+    build_field_frame,
+    build_harmonic_frame,
+    build_random_exponent_frame,
+    build_random_hadamard_frame,
+    load_frame,
+    materialize,
+)
 from groupframes.gf import is_prime
+from groupframes.sl2 import sl2_report
+from oracles import admissible_q, histogram_csv_np
 
 
 def read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def json_dumps_oracle(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.fixture(autouse=True)
+def outputs_match_their_oracles(monkeypatch):
+    # every report JSON and histogram CSV a test here writes is held to
+    # the plain indented dump and to np.histogram, byte for byte
+    json_text, histogram_csv = cli._json_text, cli._histogram_csv
+
+    def checked_json(obj):
+        text = json_text(obj)
+        assert text == json_dumps_oracle(obj)
+        return text
+
+    def checked_histogram(magnitudes, bins):
+        text = histogram_csv(magnitudes, bins)
+        assert text == histogram_csv_np(magnitudes, bins)
+        return text
+
+    monkeypatch.setattr(cli, "_json_text", checked_json)
+    monkeypatch.setattr(cli, "_histogram_csv", checked_histogram)
+
+
+def sl2_cases():
+    # every admissible (q, m, mode): m an odd divisor of q - 2 (induced)
+    # or of q (cuspidal)
+    cases = []
+    for mode, base in (("induced", -2), ("cuspidal", 0)):
+        for q in admissible_q(mode):
+            cases += [(q, m, mode) for m in range(1, q + base + 1, 2)
+                      if (q + base) % m == 0]
+    return cases
+
+
+@pytest.fixture(scope="module")
+def reports():
+    """Reports of every SL2 case and of frames on each census route."""
+    out = [sl2_report(q, m, mode) for q, m, mode in sl2_cases()]
+    frames = [build_field_frame(3, 5, 121), build_harmonic_frame(257, 16),
+              build_random_hadamard_frame(10, 341, 1),
+              build_random_exponent_frame(3, 7, 300, 2),
+              build_random_exponent_frame(257, 2, 100, 1)]
+    out += [analyze(f, brute="off") for f in frames]
+    out.append(analyze(materialize(build_random_exponent_frame(3, 4, 20,
+                                                               3))))
+    return out
 
 
 def test_construct_field_p2_writes_sign_matrix(tmp_path, capsys):
@@ -209,6 +267,39 @@ def test_analyze_sl2_largest_q(q, mode, tmp_path, capsys):
     assert sum(e["count"] for e in rep["distinct_magnitudes"]) == n * (n - 1)
     lines = read(hist).decode().strip().split("\n")[1:]
     assert sum(int(line.split(",")[2]) for line in lines) == n * (n - 1)
+
+
+def test_json_text_matches_plain_dump(reports):
+    assert len(reports) == 41 + 6
+    for rep in reports:
+        d = rep.to_dict()
+        assert cli._json_text(d) == json_dumps_oracle(d)
+    d = reports[-1].to_dict()
+    for key in ("distinct_values", "distinct_magnitudes"):
+        empty = dict(d, **{key: []})
+        assert cli._json_text(empty) == json_dumps_oracle(empty)
+    # entries the templates cannot write fall back to json.dumps
+    first = d["distinct_values"][0]
+    for odd in (dict(first, re=float("nan")), dict(first, im=float("-inf")),
+                dict(first, count=True), dict(first, re=np.float64(0.5)),
+                dict(first, extra=1), {"count": 1, "im": 0.0, "value": 1.0}):
+        bad = dict(d, distinct_values=d["distinct_values"][1:] + [odd])
+        assert cli._json_text(bad) == json_dumps_oracle(bad)
+    for other in ({"distinct_values": "x", "n": 1}, [1, {"a": 2.5}], {}):
+        assert cli._json_text(other) == json_dumps_oracle(other)
+
+
+def test_histogram_csv_matches_np_histogram(reports):
+    for rep in reports:
+        for bins in (1, 7, 200, 4096):
+            got = cli._histogram_csv(rep.distinct_magnitudes, bins)
+            assert got == histogram_csv_np(rep.distinct_magnitudes, bins)
+    # an empty census, a zero magnitude alone, and blocks of rows that
+    # split a bin range
+    for mags, bins in (([], 3), ([(0.0, 5)], 4),
+                       (reports[0].distinct_magnitudes, 2 ** 17 + 3)):
+        assert cli._histogram_csv(mags, bins) \
+            == histogram_csv_np(mags, bins)
 
 
 def test_analyze_rejects_conflicting_sources(capsys):

@@ -49,6 +49,7 @@ from groupframes.subgroups import subgroup_of_order
 from oracles import (
     bound_orbit_min,
     cluster_complex_resort,
+    fft_correlation_sums,
     histogram_sums,
     parity_of_minus_one,
     w_vector_check,
@@ -242,6 +243,40 @@ def test_multiplier_sums_exact_for_p2():
     got = multiplier_sums(ctx, mv)
     assert np.all(got.imag == 0)
     assert np.array_equal(got, histogram_sums(ctx, mv, ctx.n - 1))
+
+
+def test_multiplier_sums_match_fft_correlation_for_p2():
+    # the Walsh transform and the length-(n-1) FFT correlation both give
+    # the exact integer sums, so they agree to the last bit
+    rng = np.random.default_rng(9)
+    for r in (1, 9, 16, 20):
+        ctx = build_field(2, r)
+        for m in (1, 6, 41):
+            mv = rng.integers(0, ctx.n, size=m)
+            mv[-1] = mv[0]  # a repeat, counted twice
+            mv[m // 2] = 0
+            got = multiplier_sums(ctx, mv)
+            assert np.array_equal(got, fft_correlation_sums(ctx, mv)), (r, m)
+
+
+def test_multiplier_sums_odd_p_blocks_and_fft_digits():
+    # GF(7^4) takes two 49 x 49 character tables; GF(257^2) and GF(65537)
+    # have digits past the table size and take an FFT along each.  The
+    # exact oracle holds a count x p table, so it checks the first
+    # 2**22 // p logs; the FFT correlation checks them all
+    rng = np.random.default_rng(10)
+    for p, r in [(7, 4), (257, 2), (65537, 1)]:
+        ctx = build_field(p, r)
+        count = min(ctx.n - 1, 2 ** 22 // p)
+        for m in (1, 6, 40):
+            mv = rng.integers(0, ctx.n, size=m)
+            mv[-1] = mv[0]
+            mv[m // 2] = 0
+            got = multiplier_sums(ctx, mv)
+            want = histogram_sums(ctx, mv, count)
+            assert np.max(np.abs(got[:count] - want)) <= 1e-12, (p, r, m)
+            want = fft_correlation_sums(ctx, mv)
+            assert np.max(np.abs(got - want)) <= 1e-12, (p, r, m)
 
 
 def test_analyze_prime_field_census_at_65537():

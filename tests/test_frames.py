@@ -23,6 +23,7 @@ from groupframes.frames import (
     build_harmonic_frame,
     build_random_exponent_frame,
     build_random_hadamard_frame,
+    dual_basis_keys,
     load_frame,
     materialize,
     save_complex_csv,
@@ -31,6 +32,7 @@ from groupframes.frames import (
 )
 from groupframes.gf import build_field, is_prime
 from groupframes.subgroups import subgroup_of_order
+from oracles import mul, sylvester_row_labels, trace
 
 
 def modulo_gather_rows(ctx, multiplier_values):
@@ -150,6 +152,31 @@ def test_hadamard_sylvester_oracle():
             expect = [(-1) ** bin(lab & int(v)).count("1")
                       for v in col_values]
             assert (1 - 2 * sm.exps[i].astype(int)).tolist() == expect
+
+
+def test_dual_basis_keys_reproduce_sylvester_labels():
+    rng = np.random.default_rng(4)
+    for r in (1, 2, 5, 9, 12):
+        ctx = build_field(2, r)
+        mv = rng.integers(0, ctx.n, size=50)
+        mv[0] = 0
+        assert dual_basis_keys(ctx, mv).tolist() \
+            == sylvester_row_labels(ctx, mv)
+
+
+def test_dual_basis_keys_give_the_trace_form():
+    # Tr(az) = sum_j key(a)_j z_j (mod p) over the base-p digits of key(a)
+    # and of the packed value of z
+    rng = np.random.default_rng(5)
+    for p, r in [(2, 6), (3, 4), (5, 3), (7, 2), (257, 2), (65537, 1)]:
+        ctx = build_field(p, r)
+        a = rng.integers(0, ctx.n, size=30)
+        z = rng.integers(0, ctx.n, size=30)
+        keys = dual_basis_keys(ctx, a)
+        for ai, zi, key in zip(a.tolist(), z.tolist(), keys.tolist()):
+            dot = sum((key // p ** j % p) * (zi // p ** j % p)
+                      for j in range(r))
+            assert dot % p == trace(ctx, mul(ctx, ai, zi)), (p, r, ai, zi)
 
 
 def test_hadamard_rows_nonconstant():
