@@ -1,13 +1,15 @@
 """Command-line front end: construct frames, analyze coherence, compare
 against seeded random baselines, and emit bound curves.
 
-All outputs are deterministic for a fixed configuration: JSON is written
-with sorted keys and no timestamps, CSV cells are fixed-format, files are
-written atomically (temp file in the target directory, or in
-GROUPFRAMES_SCRATCH when set, then renamed).  Exit codes: 0 success,
-2 validation error (including an output path that cannot be written),
-3 resource cap, 4 internal invariant violation, with a one-line JSON
-error object on stderr.
+A command takes exactly one frame source: --field, --harmonic, or for
+analyze --in or --sl2.  All outputs are deterministic for a fixed
+configuration: JSON is written with sorted keys and no timestamps, a
+report as its CoherenceReport.to_dict(), the one report schema; CSV
+cells are fixed-format; files are written atomically (temp file in the
+target directory, or in GROUPFRAMES_SCRATCH when set, then renamed).
+Exit codes: 0 success, 2 validation error (including an output path that
+cannot be written), 3 resource cap, 4 internal invariant violation, with
+a one-line JSON error object on stderr.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .coherence import analyze, bound_general_kappa, \
+from .coherence import CoherenceReport, analyze, bound_general_kappa, \
     bound_m_odd_where_valid, property_thresholds, random_fourier_bound, \
     welch_bound
 from .errors import (
@@ -119,60 +121,29 @@ def _write_text(path: str | None, text: str):
             fh.write(text)
 
 
-# a report's census lists: the sorted keys of each entry, and the
-# %-template of one entry as json.dumps(sort_keys=True, indent=2) writes it
-# in a top-level list
-_CENSUS_JSON = {
-    "distinct_values": (("count", "im", "re"),
-                        '    {\n      "count": %d,\n      "im": %r,\n'
-                        '      "re": %r\n    }'),
-    "distinct_magnitudes": (("count", "value"),
-                            '    {\n      "count": %d,\n'
-                            '      "value": %r\n    }'),
-}
-
-
-def _census_json(entries, keys: tuple, template: str) -> str | None:
-    # the indented JSON of a top-level census list, one %-template per
-    # entry; None unless it is a nonempty list of dicts with exactly these
-    # keys, an int count and finite floats
-    if not isinstance(entries, list) or not entries \
-            or set(map(type, entries)) != {dict} \
-            or set(map(len, entries)) != {len(keys)}:
-        return None
-    try:
-        flat = list(chain.from_iterable(map(itemgetter(*keys), entries)))
-    except KeyError:
-        return None
-    width = len(keys)
-    floats = [x for i in range(1, width) for x in flat[i::width]]
-    if set(map(type, flat[::width])) != {int} \
-            or set(map(type, floats)) != {float} \
-            or not all(map(math.isfinite, floats)):
-        return None
-    return "[\n" + ",\n".join([template] * len(entries)) % tuple(flat) \
-        + "\n  ]"
-
-
 def _json_text(obj) -> str:
-    """json.dumps(obj, sort_keys=True, indent=2) and a newline.
+    """json.dumps(obj, sort_keys=True, indent=2) and a newline; a
+    CoherenceReport is written as its to_dict().
 
     An indented dump runs the pure-Python encoder, which takes seconds on
-    a census of 10**5 values, so the census lists of a report are written
-    with one %-template per entry and spliced into the dump of the rest;
-    where an entry is not the plain ints and finite floats to_dict writes,
-    json.dumps writes the list.
+    a census of 10**5 values, so a report's census lists are dumped empty
+    and spliced back in, one %r template per entry built from its sorted
+    keys: to_dict gives the entries Python ints and finite floats, whose
+    %r is the text json.dumps writes.
     """
-    spliced = {}
-    if isinstance(obj, dict):
-        for key, (keys, template) in _CENSUS_JSON.items():
-            text = _census_json(obj.get(key), keys, template)
-            if text is not None:
-                spliced[key] = text
-    if spliced:
-        obj = {k: [] if k in spliced else v for k, v in obj.items()}
-    text = json.dumps(obj, sort_keys=True, indent=2)
-    for key, body in spliced.items():
+    if not isinstance(obj, CoherenceReport):
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    d = obj.to_dict()
+    census = {key: d[key] for key in ("distinct_values",
+                                      "distinct_magnitudes") if d[key]}
+    d.update(dict.fromkeys(census, []))
+    text = json.dumps(d, sort_keys=True, indent=2)
+    for key, entries in census.items():
+        keys = sorted(entries[0])
+        entry = "    {\n" + ",\n".join(f'      "{k}": %r' for k in keys) \
+            + "\n    }"
+        flat = tuple(chain.from_iterable(map(itemgetter(*keys), entries)))
+        body = "[\n" + ",\n".join([entry] * len(entries)) % flat + "\n  ]"
         # a raw newline cannot sit inside a JSON string, and nested keys
         # are indented deeper, so this is the top-level key
         text = text.replace(f'\n  "{key}": []', f'\n  "{key}": {body}', 1)
@@ -214,17 +185,16 @@ def _parse_log_base(text: str) -> float | None:
 # ---------------------------------------------------------------------------
 
 def _build_from_args(args):
-    if getattr(args, "infile", None):
+    # the parser admits exactly one of the frame sources
+    if getattr(args, "infile", None) is not None:
         return load_frame(args.infile)
-    if args.field is not None and args.harmonic is not None:
-        raise UsageError("--field and --harmonic are mutually exclusive")
+    if args.field is not None and args.m is None:
+        raise UsageError("--field requires --m")
+    if args.random and args.seed is None:
+        raise UsageError("--random requires --seed")
     if args.field is not None:
         p, r = args.field
-        if args.m is None:
-            raise UsageError("--field requires --m")
         if args.random:
-            if args.seed is None:
-                raise UsageError("--random requires --seed")
             if p == 2:
                 return build_random_hadamard_frame(r, args.m, args.seed,
                                                    bernoulli=args.bernoulli)
@@ -233,26 +203,23 @@ def _build_from_args(args):
         if p == 2:
             return build_hadamard_frame(r, args.m)
         return build_field_frame(p, r, args.m)
-    if args.harmonic is not None:
-        n, m = args.harmonic
-        if args.random:
-            if args.seed is None:
-                raise UsageError("--random requires --seed")
-            return build_random_exponent_frame(n, 1, m, args.seed,
-                                               bernoulli=args.bernoulli)
-        return build_harmonic_frame(n, m)
-    raise UsageError("specify a construction: --field P R --m M, "
-                     "--harmonic N M, or --in FILE")
+    n, m = args.harmonic
+    if args.random:
+        return build_random_exponent_frame(n, 1, m, args.seed,
+                                           bernoulli=args.bernoulli)
+    return build_harmonic_frame(n, m)
 
 
 def _add_construction_flags(sub, with_infile: bool):
-    sub.add_argument("--field", nargs=2, type=int, metavar=("P", "R"),
-                     help="prime p and extension degree r")
+    # returns the group of frame sources, of which exactly one is given
+    source = sub.add_mutually_exclusive_group(required=True)
+    source.add_argument("--field", nargs=2, type=int, metavar=("P", "R"),
+                        help="prime p and extension degree r")
     sub.add_argument("--m", type=int, default=None,
                      help="number of rows (subgroup order, or draw count "
                           "with --random)")
-    sub.add_argument("--harmonic", nargs=2, type=int, metavar=("N", "M"),
-                     help="prime n and row count m (degree-1 characters)")
+    source.add_argument("--harmonic", nargs=2, type=int, metavar=("N", "M"),
+                        help="prime n and row count m (degree-1 characters)")
     sub.add_argument("--random", action="store_true",
                      help="draw the row multipliers at random instead of "
                           "using the subgroup")
@@ -262,8 +229,10 @@ def _add_construction_flags(sub, with_infile: bool):
                      help="sample rows via independent Bernoulli(m/n) "
                           "instead of exactly m without replacement")
     if with_infile:
-        sub.add_argument("--in", dest="infile", default=None,
-                         help="read a frame from a CSV written by construct")
+        source.add_argument("--in", dest="infile", default=None,
+                            help="read a frame from a CSV written by "
+                                 "construct")
+    return source
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +303,7 @@ def cmd_analyze(args) -> int:
     else:
         report = analyze(_build_from_args(args), brute=args.brute,
                          log_base=log_base)
-    _write_text(args.report, _json_text(report.to_dict()))
+    _write_text(args.report, _json_text(report))
     if args.histogram:
         _write_text(args.histogram,
                     _histogram_csv(report.distinct_magnitudes, args.bins))
@@ -520,10 +489,10 @@ def build_parser() -> argparse.ArgumentParser:
     con.set_defaults(func=cmd_construct)
 
     ana = sub.add_parser("analyze", help="coherence report for one frame")
-    _add_construction_flags(ana, with_infile=True)
-    ana.add_argument("--sl2", nargs=2, type=int, metavar=("Q", "M"),
-                     default=None,
-                     help="character-level analysis of the SL2(F_q) frame")
+    source = _add_construction_flags(ana, with_infile=True)
+    source.add_argument("--sl2", nargs=2, type=int, metavar=("Q", "M"),
+                        default=None, help="character-level analysis of "
+                                           "the SL2(F_q) frame")
     ana.add_argument("--mode", choices=("induced", "cuspidal"),
                      default="induced", help="representation family "
                                              "for --sl2")

@@ -18,7 +18,7 @@ above ROUTE_TOL is an InvariantViolation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -250,7 +250,7 @@ def _rank(order: np.ndarray) -> np.ndarray:
     return rank
 
 
-def cluster_complex(values, weights=None, tol: float = CLUSTER_TOL):
+def cluster_complex(values, weights=None):
     """Group complex values joined by chains of neighbours within tol.
 
     Values are sorted and cut at every gap wider than tol, in the real and
@@ -268,6 +268,7 @@ def cluster_complex(values, weights=None, tol: float = CLUSTER_TOL):
     those whose span on the axis is within tol: a group a pass leaves
     uncut has no gap on either axis and is final.
     """
+    tol = CLUSTER_TOL
     vals = np.asarray(values, dtype=np.complex128).ravel()
     size = len(vals)
     parts = (vals.real, vals.imag)
@@ -331,9 +332,7 @@ def cluster_complex(values, weights=None, tol: float = CLUSTER_TOL):
     return reps[out], counts[out]
 
 
-def coherence_bruteforce(cf: ComplexFrame,
-                         cluster_tol: float = CLUSTER_TOL,
-                         census: bool = True) -> dict:
+def coherence_bruteforce(cf: ComplexFrame, census: bool = True) -> dict:
     """Full Gram computation: coherence, mean squared off-diagonal, and
     the census of distinct inner products (ordered pairs i != j).
 
@@ -357,7 +356,7 @@ def coherence_bruteforce(cf: ComplexFrame,
         "distinct_values": None,
     }
     if census:
-        reps, counts = cluster_complex(offvals, tol=cluster_tol)
+        reps, counts = cluster_complex(offvals)
         out["distinct_values"] = list(zip(reps.tolist(), counts.tolist()))
     return out
 
@@ -389,8 +388,8 @@ def tightness_residual(cf: ComplexFrame) -> float:
 @dataclass
 class CoherenceReport:
     """Everything the analyzer determined about one frame.  Fields a
-    construction has no value for stay None; its own keys ride in extra,
-    which to_dict merges at the top level."""
+    construction has no value for stay None; its own keys ride in extra.
+    to_dict, built from the fields, is the one report schema."""
 
     n: int
     m_dim: int
@@ -413,46 +412,30 @@ class CoherenceReport:
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "n": self.n,
-            "m_dim": self.m_dim,
-            "kappa": self.kappa,
-            "mu": self.mu,
-            "nu": self.nu,
-            "welch": self.welch,
-            "bound_general": self.bound_general,
-            "bound_m_odd": self.bound_m_odd,
-            "bound_sqrt_kappa": self.bound_sqrt_kappa,
-            "random_fourier": self.random_fourier,
-            "random_fourier_window_ok": self.random_fourier_window_ok,
-            "tightness_residual": self.tightness_residual,
-            "gram_offdiag_mean_sq": self.gram_offdiag_mean_sq,
-            "distinct_values": [
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(
+            schema_version=1,
+            distinct_values=[
                 {"re": float(v.real), "im": float(v.imag), "count": int(c)}
                 for v, c in self.distinct_values],
-            "distinct_magnitudes": [
+            distinct_magnitudes=[
                 {"value": float(v), "count": int(c)}
                 for v, c in self.distinct_magnitudes],
-            "property_flags": self.property_flags,
-            "paths": self.paths,
-            "provenance": self.provenance,
-            **self.extra,
-        }
+            **out.pop("extra"))
+        return out
 
 
-def _magnitude_census(values, pairs, tol=CLUSTER_TOL):
+def _magnitude_census(values, pairs):
     # the census magnitudes, clustered like the values and reported at the
-    # tol grid point nearest each cluster's mean
-    mags, counts = cluster_complex(np.abs(values), weights=pairs, tol=tol)
-    return list(zip((np.round(mags.real / tol) * tol).tolist(),
-                    counts.tolist()))
+    # CLUSTER_TOL grid point nearest each cluster's mean
+    mags, counts = cluster_complex(np.abs(values), weights=pairs)
+    grid = np.round(mags.real / CLUSTER_TOL) * CLUSTER_TOL
+    return list(zip(grid.tolist(), counts.tolist()))
 
 
 def _census_report(n: int, m_dim: int, mu: float, nu: float,
                    values: np.ndarray, counts: np.ndarray, scale: int = 1,
                    log_base: float | None = None,
-                   cluster_tol: float = CLUSTER_TOL,
                    mean_sq: float | None = None, kappa: int | None = None,
                    **fields) -> CoherenceReport:
     # the tail every construction ends in: from the census, the distinct
@@ -473,7 +456,7 @@ def _census_report(n: int, m_dim: int, mu: float, nu: float,
         terms = pairs.astype(np.float64) \
             * np.hypot(values.real, values.imag) ** 2
         mean_sq = float(np.cumsum(terms)[-1]) / total
-    magnitudes = _magnitude_census(values, pairs, tol=cluster_tol)
+    magnitudes = _magnitude_census(values, pairs)
     flags = coherence_properties(mu, nu, n, m_dim, log_base=log_base)
     flags["equiangular"] = len(magnitudes) == 1
     if kappa is not None:
@@ -504,12 +487,12 @@ def _judge_gap(paths: dict, key: str, fast: float, dense: float) -> None:
                                  f"tolerance {ROUTE_TOL}")
 
 
-def analyze(frame, brute: str = "auto", log_base: float | None = None,
-            cluster_tol: float = CLUSTER_TOL) -> CoherenceReport:
+def analyze(frame, brute: str = "auto",
+            log_base: float | None = None) -> CoherenceReport:
     """Analyze an exponent frame or a materialized frame.
 
     brute is the verification level.  When the frame carries its
-    multiplier structure (field context, full columns, multiplier list),
+    multiplier structure (an ExponentFrame with multiplier_values),
     mu, nu and the census come from the n-1 character sums, and with
     brute="off" nothing else runs: no matrix is materialized, and the
     tightness residual is the exact value that character orthogonality
@@ -530,8 +513,8 @@ def analyze(frame, brute: str = "auto", log_base: float | None = None,
     if n_cols < 2:
         raise BadShape("need at least two columns to measure coherence")
 
-    structured = isinstance(frame, ExponentFrame) and frame.ctx is not None \
-        and frame.full_columns and frame.multiplier_values is not None
+    structured = isinstance(frame, ExponentFrame) \
+        and frame.multiplier_values is not None
     cf = frame if isinstance(frame, ComplexFrame) else None
     fits = cf is not None or m_rows * n_cols <= COMPLEX_CELL_CAP
     if brute == "on" and n_cols > BRUTE_CAP:
@@ -563,7 +546,7 @@ def analyze(frame, brute: str = "auto", log_base: float | None = None,
         fast_mu = float(np.max(np.abs(values)))
         fast_nu = float(abs(values.sum() * ((n_cols - 1) // period))
                         / (n_cols - 1))
-        reps, counts = cluster_complex(values, tol=cluster_tol)
+        reps, counts = cluster_complex(values)
         scale = n_cols * (n_cols - 1) // period
         paths["mu_fast"] = fast_mu
         paths["nu_fast"] = fast_nu
@@ -583,8 +566,7 @@ def analyze(frame, brute: str = "auto", log_base: float | None = None,
 
     mu, mean_sq = fast_mu, None
     if run_brute:
-        bf = coherence_bruteforce(cf, cluster_tol=cluster_tol,
-                                  census=not structured)
+        bf = coherence_bruteforce(cf, census=not structured)
         mu, mean_sq = bf["mu"], bf["gram_offdiag_mean_sq"]
         paths["mu_bruteforce"] = mu
         if structured:
@@ -597,7 +579,7 @@ def analyze(frame, brute: str = "auto", log_base: float | None = None,
 
     return _census_report(
         n_cols, m_rows, mu, nu, reps, counts, scale, log_base=log_base,
-        cluster_tol=cluster_tol, mean_sq=mean_sq, kappa=kappa,
+        mean_sq=mean_sq, kappa=kappa,
         tightness_residual=tightness, provenance=dict(frame.provenance),
         random_fourier=random_fourier_bound(n_cols, m_rows),
         random_fourier_window_ok=random_fourier_window(n_cols, m_rows),

@@ -39,7 +39,8 @@ RNG_NAME = "numpy.random.default_rng(PCG64)"
 
 @dataclass
 class ExponentFrame:
-    """Frame stored as integer exponents of the p-th root of unity."""
+    """Frame stored as integer exponents of the p-th root of unity; with
+    multiplier_values a_i (and ctx) set, row i is x -> Tr(a_i x) over F_q."""
 
     p: int
     exps: np.ndarray = field(repr=False)
@@ -47,7 +48,6 @@ class ExponentFrame:
     ctx: FieldCtx | None = None
     subgroup: SubgroupSpec | None = None
     multiplier_values: np.ndarray | None = field(default=None, repr=False)
-    full_columns: bool = False
 
     @property
     def m_rows(self) -> int:
@@ -142,8 +142,7 @@ def build_field_frame(p: int, r: int, m: int,
     })
     return ExponentFrame(p=p, exps=exps, provenance=prov, ctx=ctx,
                          subgroup=spec,
-                         multiplier_values=spec.element_values,
-                         full_columns=True)
+                         multiplier_values=spec.element_values)
 
 
 def build_harmonic_frame(n: int, m: int) -> ExponentFrame:
@@ -236,7 +235,7 @@ def build_random_exponent_frame(p: int, r: int, m: int, seed: int,
         "multiplier_values": [int(v) for v in values],
     })
     return ExponentFrame(p=p, exps=exps, provenance=prov, ctx=ctx,
-                         multiplier_values=values, full_columns=True)
+                         multiplier_values=values)
 
 
 def build_random_hadamard_frame(r: int, m: int, seed: int,
@@ -283,7 +282,7 @@ def save_exponent_csv(frame: ExponentFrame, path: str) -> None:
         "p": frame.p,
         "m_rows": frame.m_rows,
         "n_cols": frame.n_cols,
-        "full_columns": frame.full_columns,
+        "full_columns": frame.multiplier_values is not None,
     }
     for key in ("r", "modulus", "generator_value", "m", "seed",
                 "construction", "column_order"):
@@ -374,10 +373,11 @@ def load_frame(path: str):
     """Read back an exponent CSV (with header) or a bare sign CSV.
 
     Exponent frames whose header carries the field parameters are
-    reattached to a freshly built context so the exact analysis paths
-    work; when the header also names the multipliers of a full-column
-    frame, the stored exponents must equal the rows they give, or
-    ContextMismatch names the first cell that differs.  A bare sign CSV
+    reattached to a freshly built context.  When the header also marks
+    full columns and names the multipliers, they are attached so the
+    exact analysis paths work, and the stored exponents must equal the
+    rows they give, or ContextMismatch names the first cell that differs;
+    otherwise the frame takes the dense route.  A bare sign CSV
     becomes a p = 2 frame without field context, which only supports the
     brute-force path.  A file that cannot be read or parsed raises
     ValidationError naming the line or header key at fault.
@@ -416,13 +416,13 @@ def load_frame(path: str):
         i, j = (int(v) for v in bad[0])
         raise BadShape(f"{path}: exponent at (row {i}, column {j}) is "
                        f"{int(exps[i, j])}, outside [0, {p})")
-    ctx = subgroup = None
-    mv = None
+    ctx = subgroup = mv = None
     if "r" in header:
         ctx = build_field(p, _header_int(header, "r", path))
         if "modulus" in header and list(ctx.modulus) != header["modulus"]:
             raise ContextMismatch("stored modulus does not match "
                                   "canonical construction")
+    if ctx is not None and header.get("full_columns"):
         if header.get("construction") in ("field-subgroup", "harmonic",
                                           "hadamard-rows"):
             subgroup = subgroup_of_order(ctx, _header_int(header, "m", path))
@@ -434,9 +434,8 @@ def load_frame(path: str):
                 raise BadShape(f"multiplier_values must be a list of "
                                f"field values in [0, {ctx.n})")
             mv = np.array(mv, dtype=np.int64)
-    full_columns = bool(header.get("full_columns", False))
-    if mv is not None and full_columns:
-        _check_stored_rows(exps, _exponent_rows(ctx, mv))
+        if mv is not None:
+            _check_stored_rows(exps, _exponent_rows(ctx, mv))
     return ExponentFrame(
         p=p, exps=exps, provenance=header, ctx=ctx, subgroup=subgroup,
-        multiplier_values=mv, full_columns=full_columns)
+        multiplier_values=mv)

@@ -1,6 +1,7 @@
 """End-to-end command line behavior: files, determinism, exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 
 import groupframes.cli as cli
 from groupframes.cli import BINS_CAP, BOUNDS_ROW_CAP, main
-from groupframes.coherence import analyze
+from groupframes.coherence import CoherenceReport, analyze
 from groupframes.frames import (
     build_field_frame,
     build_harmonic_frame,
@@ -30,6 +31,8 @@ def read(path):
 
 
 def json_dumps_oracle(obj):
+    if isinstance(obj, CoherenceReport):
+        obj = obj.to_dict()
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
@@ -272,19 +275,11 @@ def test_analyze_sl2_largest_q(q, mode, tmp_path, capsys):
 def test_json_text_matches_plain_dump(reports):
     assert len(reports) == 41 + 6
     for rep in reports:
-        d = rep.to_dict()
-        assert cli._json_text(d) == json_dumps_oracle(d)
-    d = reports[-1].to_dict()
-    for key in ("distinct_values", "distinct_magnitudes"):
-        empty = dict(d, **{key: []})
-        assert cli._json_text(empty) == json_dumps_oracle(empty)
-    # entries the templates cannot write fall back to json.dumps
-    first = d["distinct_values"][0]
-    for odd in (dict(first, re=float("nan")), dict(first, im=float("-inf")),
-                dict(first, count=True), dict(first, re=np.float64(0.5)),
-                dict(first, extra=1), {"count": 1, "im": 0.0, "value": 1.0}):
-        bad = dict(d, distinct_values=d["distinct_values"][1:] + [odd])
-        assert cli._json_text(bad) == json_dumps_oracle(bad)
+        assert cli._json_text(rep) == json_dumps_oracle(rep)
+        for key in ("distinct_values", "distinct_magnitudes"):
+            empty = dataclasses.replace(rep, **{key: []})
+            assert cli._json_text(empty) == json_dumps_oracle(empty)
+    # plain dicts and lists are dumped as they are
     for other in ({"distinct_values": "x", "n": 1}, [1, {"a": 2.5}], {}):
         assert cli._json_text(other) == json_dumps_oracle(other)
 
@@ -302,9 +297,23 @@ def test_histogram_csv_matches_np_histogram(reports):
             == histogram_csv_np(mags, bins)
 
 
-def test_analyze_rejects_conflicting_sources(capsys):
-    code = main(["analyze"])
-    assert code == 2
+def test_analyze_rejects_conflicting_sources(tmp_path, capsys):
+    exp = str(tmp_path / "f.exp.csv")
+    assert main(["construct", "--field", "3", "3", "--m", "13",
+                 "--out", str(tmp_path / "f.csv"),
+                 "--exponent-out", exp]) == 0
+    capsys.readouterr()
+    for argv in ([],
+                 ["--sl2", "8", "3", "--field", "3", "3", "--m", "13"],
+                 ["--in", exp, "--field", "2", "4", "--m", "5"],
+                 ["--in", exp, "--harmonic", "13", "4"],
+                 ["--in", exp, "--sl2", "8", "3"],
+                 ["--field", "3", "3", "--m", "13", "--harmonic", "13", "4"]):
+        assert main(["analyze", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["error"] == "UsageError"
+        assert err.count("\n") == 1
 
 
 def test_determinism_byte_identical(tmp_path):

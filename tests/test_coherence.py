@@ -329,10 +329,10 @@ def test_tightness_residual():
 
 def test_cluster_complex_merges_near_values():
     vals = np.array([0.1 + 0.2j, 0.1 + 0.2j + 1e-12, 0.5])
-    reps, counts = cluster_complex(vals, tol=1e-9)
+    reps, counts = cluster_complex(vals)
     assert len(reps) == 2
     assert sorted(counts.tolist()) == [1, 2]
-    reps2, counts2 = cluster_complex(vals, weights=[2, 3, 4], tol=1e-9)
+    reps2, counts2 = cluster_complex(vals, weights=[2, 3, 4])
     assert sorted(counts2.tolist()) == [4, 5]
 
 
@@ -340,14 +340,14 @@ def test_cluster_complex_merges_across_grid_lines():
     # 2e-13 apart, on either side of the grid line at tol/2
     for unit in (1, 1j):
         vals = unit * np.array([0.5e-9 - 1e-13, 0.5e-9 + 1e-13])
-        reps, counts = cluster_complex(vals, tol=1e-9)
+        reps, counts = cluster_complex(vals)
         assert counts.tolist() == [2]
         assert abs(reps[0] - unit * 0.5e-9) < 1e-20
     # a chain of neighbours within tol is one cluster; a wider gap splits
-    reps, counts = cluster_complex([0.0, 0.8e-9, 1.6e-9, 5e-9], tol=1e-9)
+    reps, counts = cluster_complex([0.0, 0.8e-9, 1.6e-9, 5e-9])
     assert counts.tolist() == [3, 1]
     mags = _magnitude_census(np.array([0.5e-9 - 1e-13, -0.5e-9 - 1e-13j]),
-                             np.array([3, 4]), tol=1e-9)
+                             np.array([3, 4]))
     assert [c for _, c in mags] == [7]
 
 
@@ -481,7 +481,7 @@ def test_analyze_repeated_multiplier_tightness():
     ctx = build_field(3, 3)
     mv = np.array([1, 5, 0, 5, 7], dtype=np.int64)
     frame = ExponentFrame(p=3, exps=_exponent_rows(ctx, mv), provenance={},
-                          ctx=ctx, multiplier_values=mv, full_columns=True)
+                          ctx=ctx, multiplier_values=mv)
     n_over_m = 27 / 5
     assert analyze(frame, brute="off").tightness_residual == n_over_m
     assert abs(tightness_residual(materialize(frame)) - n_over_m) < 1e-9

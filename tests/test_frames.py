@@ -122,7 +122,7 @@ def test_field_frame_shape_and_range():
     assert f.exps.min() == 0 and f.exps.max() <= 2
     assert f.provenance["construction"] == "field-subgroup"
     assert f.provenance["kappa"] == 2
-    assert f.full_columns
+    assert np.array_equal(f.multiplier_values, f.subgroup.element_values)
 
 
 def test_rows_distinct():
@@ -325,7 +325,25 @@ def test_exponent_csv_round_trip(tmp_path):
     assert np.array_equal(g.exps, f.exps)
     assert g.ctx is not None
     assert g.subgroup is not None and g.subgroup.m == 13
-    assert g.full_columns
+    assert np.array_equal(g.multiplier_values, f.multiplier_values)
+
+
+def test_exponent_csv_without_full_columns_loads_dense(tmp_path):
+    # a header that does not mark full columns attaches no multipliers,
+    # so the stored rows are neither checked nor used by the exact paths
+    f = build_field_frame(3, 3, 13)
+    path = str(tmp_path / "f.csv")
+    save_exponent_csv(f, path)
+    with open(path) as fh:
+        header, rest = fh.readline(), fh.read()
+    assert json.loads(header[1:])["full_columns"] is True
+    with open(path, "w") as fh:
+        fh.write(header.replace('"full_columns": true',
+                                '"full_columns": false') + rest)
+    g = load_frame(path)
+    assert np.array_equal(g.exps, f.exps)
+    assert g.ctx is not None
+    assert g.subgroup is None and g.multiplier_values is None
 
 
 def test_random_exponent_csv_round_trip(tmp_path):
