@@ -31,8 +31,8 @@ from operator import itemgetter
 import numpy as np
 
 from .coherence import CoherenceReport, analyze, bound_general_kappa, \
-    bound_m_odd_where_valid, property_thresholds, random_fourier_bound, \
-    welch_bound
+    bound_m_odd_where_valid, coherence_bruteforce, property_thresholds, \
+    random_fourier_bound, welch_bound
 from .errors import (
     InvariantViolation,
     ResourceCap,
@@ -41,6 +41,7 @@ from .errors import (
 )
 from .frames import (
     RNG_NAME,
+    ComplexFrame,
     build_field_frame,
     build_hadamard_frame,
     build_harmonic_frame,
@@ -52,6 +53,7 @@ from .frames import (
     save_exponent_csv,
     save_sign_csv,
 )
+from .gf import prime_factors
 from .sl2 import sl2_report
 
 TABLE_I = ((8, 51), (8, 85), (9, 73), (10, 341), (12, 455))
@@ -63,8 +65,8 @@ DEFAULT_SEEDS = (1, 2, 3)
 BINS_CAP = 10 ** 6
 # histogram rows formatted per block, which bounds the temporary strings
 _CSV_BLOCK = 2 ** 16
-# bounds visits every n of its range; --regime also tries every divisor
-# candidate up to sqrt(n - 1) for each row (README)
+# bounds visits every n of its range; --regime also factors each n - 1 by
+# trial division, at most sqrt(n - 1) candidates a row (README)
 BOUNDS_ROW_CAP = 10 ** 5
 BOUNDS_TRIAL_CAP = 10 ** 8
 
@@ -318,9 +320,8 @@ def _gaussian_mu(dim: int, n: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
     mat = rng.standard_normal((dim, n)) + 1j * rng.standard_normal((dim, n))
     mat = mat / np.linalg.norm(mat, axis=0, keepdims=True)
-    gram = mat.conj().T @ mat
-    off = ~np.eye(n, dtype=bool)
-    return float(np.max(np.abs(gram[off])))
+    frame = ComplexFrame(entries=mat, normalized=True, provenance={})
+    return coherence_bruteforce(frame, census=False)["mu"]
 
 
 def _compare_row(label: str, group, bound_kind: str, per_seed: list) -> dict:
@@ -405,8 +406,14 @@ def cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _divisors(x: int) -> list[int]:
-    small = [d for d in range(1, math.isqrt(x) + 1) if x % d == 0]
-    return small + [x // d for d in reversed(small) if d * d != x]
+    # ascending, every product of prime powers dividing x
+    out = [1]
+    for q in prime_factors(x):
+        powers = [1]
+        while x % (powers[-1] * q) == 0:
+            powers.append(powers[-1] * q)
+        out = [d * e for d in out for e in powers]
+    return sorted(out)
 
 
 def _bound_row(n: int, m: int, kappa: int, m_requested: int | None,

@@ -48,6 +48,9 @@ ROUTE_TOL = 1e-9
 # largest character table multiplier_sums applies as one matrix; a digit
 # of p > _BLOCK is transformed by FFT
 _BLOCK = 64
+# rows per block of the dense Hermitian products: the fastest of 16 to 512
+# rows measured on 2 CPUs at n = 2187 and 4096, where 16 took 50-70% longer
+_GRAM_ROWS = 128
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +335,24 @@ def cluster_complex(values, weights=None):
     return reps[out], counts[out]
 
 
-def coherence_bruteforce(cf: ComplexFrame, census: bool = True) -> dict:
-    """Full Gram computation: coherence, mean squared off-diagonal, and
-    the census of distinct inner products (ordered pairs i != j).
+def _upper_blocks(a: np.ndarray):
+    # a[:, i0:i1]^H @ a[:, i0:] for i0 in steps of _GRAM_ROWS: the upper
+    # block triangle of the Hermitian a^H a, each block starting with its
+    # diagonal square; one block of a is conjugated at a time
+    for i0 in range(0, a.shape[1], _GRAM_ROWS):
+        yield a[:, i0:i0 + _GRAM_ROWS].conj().T @ a[:, i0:]
 
-    Pass census=False to skip the distinct-value clustering, which
-    dominates the cost on large sweeps; mu and the mean square are
-    unaffected.
+
+def coherence_bruteforce(cf: ComplexFrame, census: bool = True) -> dict:
+    """Gram oracle: coherence, mean squared off-diagonal, and the census
+    of distinct inner products (ordered pairs i != j).
+
+    The Gram matrix is Hermitian, so only its strict upper triangle is
+    formed, _GRAM_ROWS rows at a time, and each block is reduced while it
+    is in cache; the census clusters the upper-triangle values with their
+    conjugates, which stand for the pairs below the diagonal.  Pass
+    census=False to skip the distinct-value clustering, which dominates
+    the cost on large sweeps; mu and the mean square are unaffected.
     """
     _require_normalized(cf)
     n = cf.entries.shape[1]
@@ -346,17 +360,30 @@ def coherence_bruteforce(cf: ComplexFrame, census: bool = True) -> dict:
         raise ResourceCap(f"brute force capped at {BRUTE_CAP} columns")
     if n < 2:
         raise BadShape("need at least two columns")
-    gram = cf.entries.conj().T @ cf.entries
-    off = ~np.eye(n, dtype=bool)
-    offvals = gram[off]
-    mags = np.abs(offvals)
+    mu, total, upper = 0.0, 0.0, []
+    for block in _upper_blocks(cf.entries):
+        rows = block.shape[0]
+        # the diagonal and what lies below it in the leading square
+        lower = np.tri(rows, dtype=bool)
+        block[:, :rows][lower] = 0.0
+        mags = np.abs(block)
+        mu = max(mu, float(mags.max()))
+        total += float((mags * mags).sum())
+        if census:
+            cols = np.arange(block.shape[1])
+            upper.append(block[cols > cols[:rows, None]])
     out = {
-        "mu": float(mags.max()),
-        "gram_offdiag_mean_sq": float((mags ** 2).mean()),
+        "mu": mu,
+        "gram_offdiag_mean_sq": 2.0 * total / (n * (n - 1)),
         "distinct_values": None,
     }
     if census:
-        reps, counts = cluster_complex(offvals)
+        # each value beside its conjugate, row by row, near the order of
+        # the full off-diagonal: a sign frame's census at n = 4096 sorted
+        # 1.5x slower as all the values followed by all the conjugates
+        upper = np.concatenate(upper)
+        reps, counts = cluster_complex(
+            np.stack((upper, upper.conj()), axis=1).ravel())
         out["distinct_values"] = list(zip(reps.tolist(), counts.tolist()))
     return out
 
@@ -368,17 +395,25 @@ def average_coherence(cf: ComplexFrame) -> float:
     if n < 2:
         raise BadShape("need at least two columns")
     s = cf.entries.sum(axis=1)
-    row_sums = cf.entries.conj().T @ s - 1.0
+    # the conjugates of the row sums, without a conjugate copy of the
+    # matrix; the moduli are the same bits
+    row_sums = cf.entries.T @ s.conj() - 1.0
     return float(np.max(np.abs(row_sums)) / (n - 1))
 
 
 def tightness_residual(cf: ComplexFrame) -> float:
-    """max |MM* - (n/m) I|; zero(ish) iff the frame is tight."""
+    """max |MM* - (n/m) I|; zero(ish) iff the frame is tight.
+
+    The blocks of the Gram matrix of M^T are conj(MM*), upper block
+    triangle only, whose entries have the same moduli."""
     _require_normalized(cf)
     m, n = cf.entries.shape
-    R = cf.entries @ cf.entries.conj().T
-    R[np.diag_indices(m)] -= n / m
-    return float(np.max(np.abs(R)))
+    worst = 0.0
+    for block in _upper_blocks(cf.entries.T):
+        diag = np.arange(block.shape[0])
+        block[diag, diag] -= n / m
+        worst = max(worst, float(np.abs(block).max()))
+    return worst
 
 
 # ---------------------------------------------------------------------------

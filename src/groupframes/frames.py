@@ -254,9 +254,11 @@ def materialize(frame: ExponentFrame, normalize: bool = True) -> ComplexFrame:
     if not isinstance(frame, ExponentFrame):
         raise BadShape(f"cannot materialize {type(frame).__name__}")
     _check_cells(frame.m_rows, frame.n_cols, COMPLEX_CELL_CAP)
-    entries = roots_of_unity(frame.p)[frame.exps.astype(np.int64)]
+    roots = roots_of_unity(frame.p)
     if normalize:
-        entries = entries / np.sqrt(frame.m_rows)
+        # the same division per entry as scaling the gathered matrix
+        roots = roots / np.sqrt(frame.m_rows)
+    entries = roots[frame.exps]
     prov = dict(frame.provenance)
     prov["normalized"] = normalize
     return ComplexFrame(entries=entries, normalized=normalize,

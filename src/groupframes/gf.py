@@ -17,6 +17,8 @@ values; FieldElem holds a single element's coefficients and value.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -60,15 +62,17 @@ def is_prime(n: int) -> bool:
 
 
 def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n by trial division, ascending."""
+    """Distinct prime factors of n by trial division, ascending: 2, then
+    the odd candidates up to sqrt(n), one generator scan per factor."""
     out = []
     d = 2
-    while d * d <= n:
+    while d is not None and d * d <= n:
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
-        d += 1 if d == 2 else 2
+        d = next((k for k in range(d + 1 + d % 2, math.isqrt(n) + 1, 2)
+                  if n % k == 0), None)
     if n > 1:
         out.append(n)
     return out

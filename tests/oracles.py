@@ -10,15 +10,23 @@ and the orbit form of the mean-square bound.  Elements are base-p values
 fast kernels: character sums from exact trace-value counts and from the
 length-(n-1) FFT correlation the package once used, the Sylvester row
 labels bit by bit, and the census clustering by full re-sorts of every
-group on every pass.
+group on every pass.  The dense kernels are checked against the
+full-matrix products the package once used, and cli._divisors against
+trial division.
 """
 
 import math
 
 import numpy as np
 
-from groupframes.coherence import CLUSTER_TOL, welch_bound
-from groupframes.errors import BadShape
+from groupframes.coherence import (
+    BRUTE_CAP,
+    CLUSTER_TOL,
+    _require_normalized,
+    cluster_complex,
+    welch_bound,
+)
+from groupframes.errors import BadShape, ResourceCap
 from groupframes.frames import roots_of_unity
 from groupframes.gf import is_prime
 from groupframes.sl2 import Q_CAP
@@ -235,6 +243,49 @@ def cluster_complex_resort(values, weights=None, tol=CLUSTER_TOL):
     return reps[order], counts[order]
 
 
+def coherence_bruteforce(cf, census=True):
+    """Oracle for coherence_bruteforce: the full n x n Gram matrix, its
+    off-diagonal gathered by a mask."""
+    _require_normalized(cf)
+    n = cf.entries.shape[1]
+    if n > BRUTE_CAP:
+        raise ResourceCap(f"brute force capped at {BRUTE_CAP} columns")
+    if n < 2:
+        raise BadShape("need at least two columns")
+    gram = cf.entries.conj().T @ cf.entries
+    off = ~np.eye(n, dtype=bool)
+    offvals = gram[off]
+    mags = np.abs(offvals)
+    out = {
+        "mu": float(mags.max()),
+        "gram_offdiag_mean_sq": float((mags ** 2).mean()),
+        "distinct_values": None,
+    }
+    if census:
+        reps, counts = cluster_complex(offvals)
+        out["distinct_values"] = list(zip(reps.tolist(), counts.tolist()))
+    return out
+
+
+def average_coherence(cf):
+    """Oracle for average_coherence: the row sums through a conjugate
+    copy of the whole matrix."""
+    _require_normalized(cf)
+    n = cf.entries.shape[1]
+    s = cf.entries.sum(axis=1)
+    row_sums = cf.entries.conj().T @ s - 1.0
+    return float(np.max(np.abs(row_sums)) / (n - 1))
+
+
+def tightness_residual(cf):
+    """Oracle for tightness_residual: the full m x m frame operator."""
+    _require_normalized(cf)
+    m, n = cf.entries.shape
+    R = cf.entries @ cf.entries.conj().T
+    R[np.diag_indices(m)] -= n / m
+    return float(np.max(np.abs(R)))
+
+
 def histogram_csv_np(magnitudes, bins):
     """Oracle for cli._histogram_csv: np.histogram with the exact Python
     int counts as object weights, one f-string per bin."""
@@ -282,3 +333,9 @@ def admissible_q(mode, cap=Q_CAP):
     step = -1 if mode == "induced" else 1
     return [2 ** d for d in range(2, cap.bit_length())
             if is_prime(2 ** d + step)]
+
+
+def divisors_by_trial(x):
+    """Oracle for cli._divisors: trial division up to sqrt(x)."""
+    small = [d for d in range(1, math.isqrt(x) + 1) if x % d == 0]
+    return small + [x // d for d in reversed(small) if d * d != x]

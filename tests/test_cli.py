@@ -22,7 +22,7 @@ from groupframes.frames import (
 )
 from groupframes.gf import is_prime
 from groupframes.sl2 import sl2_report
-from oracles import admissible_q, histogram_csv_np
+from oracles import admissible_q, divisors_by_trial, histogram_csv_np
 
 
 def read(path):
@@ -473,6 +473,17 @@ def test_bounds_regime_snaps(tmp_path):
         assert int(cells[ki]) == (n - 1) // m
         assert cells[mreq] != ""
         assert cells[snap] in ("True", "False")
+
+
+def test_divisors_match_trial_division():
+    # the divisors built from the factorization, against trial division
+    # up to sqrt(x): every x to 5000, primes, prime squares and prime
+    # powers, and values near 10**12
+    cases = list(range(1, 5001))
+    cases += [65537, 65537 ** 2, 2 ** 40, 3 ** 25, 999983 ** 2,
+              2 * 999983, 999999999989, 10 ** 12 - 1, 10 ** 12]
+    for x in cases:
+        assert cli._divisors(x) == divisors_by_trial(x), x
 
 
 def test_bounds_mutual_exclusion(capsys):

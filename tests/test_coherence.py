@@ -46,6 +46,7 @@ from groupframes.frames import (
 from groupframes.gf import build_field, is_prime
 from groupframes.sl2 import sl2_report
 from groupframes.subgroups import subgroup_of_order
+import oracles
 from oracles import (
     bound_orbit_min,
     cluster_complex_resort,
@@ -325,6 +326,45 @@ def test_tightness_residual():
     flat = ComplexFrame(entries=np.ones((2, 4), dtype=np.complex128)
                         / np.sqrt(2), normalized=True, provenance={})
     assert tightness_residual(flat) > 1.0
+
+
+def _unit_columns(m, n, seed):
+    rng = np.random.default_rng(seed)
+    mat = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    return ComplexFrame(entries=mat / np.linalg.norm(mat, axis=0),
+                        normalized=True, provenance={})
+
+
+def test_blocked_dense_kernels_match_full_gram_oracles():
+    # the Gram and frame-operator blocks against the full products: n on
+    # both sides of the 128-row block edge, a sign frame without
+    # structure, and Gram censuses of two random baselines
+    frames = [(_unit_columns(5, n, n), True)
+              for n in (2, 50, 127, 128, 129, 257)]
+    frames += [(materialize(build_field_frame(3, 7, 1093)), False),
+               (materialize(build_field_frame(2, 1, 1)), True),
+               (materialize(build_hadamard_frame(8, 51)), True),
+               (materialize(build_random_exponent_frame(3, 5, 11, seed=4)),
+                True),
+               (materialize(build_random_exponent_frame(7, 3, 57, seed=2)),
+                True)]
+    for cf, census in frames:
+        got = coherence_bruteforce(cf, census=census)
+        want = oracles.coherence_bruteforce(cf, census=census)
+        assert abs(got["mu"] - want["mu"]) <= 1e-15
+        assert abs(got["gram_offdiag_mean_sq"]
+                   - want["gram_offdiag_mean_sq"]) <= 1e-15
+        assert abs(tightness_residual(cf)
+                   - oracles.tightness_residual(cf)) <= 1e-15
+        assert average_coherence(cf) == oracles.average_coherence(cf)
+        if census:
+            assert [c for _, c in got["distinct_values"]] \
+                == [c for _, c in want["distinct_values"]]
+            assert max(abs(v - w) for (v, _), (w, _)
+                       in zip(got["distinct_values"],
+                              want["distinct_values"])) <= 1e-15
+        else:
+            assert got["distinct_values"] is None
 
 
 def test_cluster_complex_merges_near_values():

@@ -26,6 +26,7 @@ from groupframes.frames import (
     dual_basis_keys,
     load_frame,
     materialize,
+    roots_of_unity,
     save_complex_csv,
     save_exponent_csv,
     save_sign_csv,
@@ -299,6 +300,12 @@ def test_materialize_norms():
     raw = materialize(f, normalize=False)
     assert np.max(np.abs(np.linalg.norm(raw.entries, axis=0)
                          - np.sqrt(13))) < 1e-12
+    # the root table is scaled before the gather: the same division per
+    # entry, so the same bits as scaling the gathered matrix
+    roots = roots_of_unity(f.p)
+    assert np.array_equal(cf.entries,
+                          roots[f.exps.astype(np.int64)] / np.sqrt(13))
+    assert np.array_equal(raw.entries, roots[f.exps.astype(np.int64)])
 
 
 def test_materialize_hadamard_exact():
