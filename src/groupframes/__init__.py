@@ -34,7 +34,6 @@ from .errors import (
     DegreeTooLarge,
     GroupFramesError,
     InvariantViolation,
-    KappaOddWithModdP,
     MNotOddDivisor,
     NotADivisor,
     NotEvenPrimePower,
@@ -61,9 +60,9 @@ from .frames import (
     save_exponent_csv,
     save_sign_csv,
 )
-from .gf import FieldCtx, build_field, is_prime, prime_factors
-from .sl2 import Sl2ClassData, sl2_class_data, sl2_report
-from .subgroups import SubgroupSpec, subgroup_of_order
+from .gf import FieldCtx, build_field, is_prime, prime_factors, \
+    subgroup_of_order
+from .sl2 import sl2_report
 
 __version__ = "0.1.0"
 
@@ -77,7 +76,6 @@ __all__ = [
     "FieldCtx",
     "GroupFramesError",
     "InvariantViolation",
-    "KappaOddWithModdP",
     "MNotOddDivisor",
     "NotADivisor",
     "NotEvenPrimePower",
@@ -87,8 +85,6 @@ __all__ = [
     "QPlusOneNotPrime",
     "ResourceCap",
     "ResourceError",
-    "Sl2ClassData",
-    "SubgroupSpec",
     "TooManyRows",
     "ValidationError",
     "analyze",
@@ -117,7 +113,6 @@ __all__ = [
     "save_complex_csv",
     "save_exponent_csv",
     "save_sign_csv",
-    "sl2_class_data",
     "sl2_report",
     "subgroup_of_order",
     "tightness_residual",

@@ -23,7 +23,7 @@ import os
 import shutil
 import statistics
 import sys
-import tempfile
+import uuid
 from contextlib import contextmanager
 from itertools import chain
 from operator import itemgetter
@@ -31,7 +31,7 @@ from operator import itemgetter
 import numpy as np
 
 from .coherence import CoherenceReport, analyze, bound_general_kappa, \
-    bound_m_odd_where_valid, coherence_bruteforce, property_thresholds, \
+    bound_m_odd, coherence_bruteforce, property_thresholds, \
     random_fourier_bound, welch_bound
 from .errors import (
     InvariantViolation,
@@ -87,7 +87,8 @@ def _atomic(path: str):
     through directly because renaming over them would replace the node.
     A path that cannot be written (a missing directory, no permission, a
     bad GROUPFRAMES_SCRATCH) raises ValidationError naming it, and no
-    temp file is left behind.
+    temp file is left behind.  The file gets the mode open(path, "w")
+    would leave: the replaced file's own, or 0o666 less the umask.
     """
     path = os.path.abspath(path)
     scratch = os.environ.get("GROUPFRAMES_SCRATCH")
@@ -97,9 +98,12 @@ def _atomic(path: str):
             yield path
             return
         tmpdir = scratch if scratch else os.path.dirname(path)
-        fd, tmp = tempfile.mkstemp(dir=tmpdir, prefix=".groupframes-")
-        os.close(fd)
+        # created as open(path, "w") creates a file, 0o666 less the umask
+        tmp = os.path.join(tmpdir, f".groupframes-{uuid.uuid4().hex}")
+        open(tmp, "x").close()
         try:
+            if os.path.exists(path):
+                shutil.copymode(path, tmp)
             yield tmp
             try:
                 os.replace(tmp, path)
@@ -420,7 +424,7 @@ def _bound_row(n: int, m: int, kappa: int, m_requested: int | None,
                log_base: float | None) -> list:
     welch = welch_bound(n, m)
     bg = bound_general_kappa(m, kappa)
-    bmo = bound_m_odd_where_valid(m, kappa)
+    bmo = bound_m_odd(m, kappa)
     rf = random_fourier_bound(n, m)
     cp, scp = property_thresholds(n, log_base)
     snapped = None if m_requested is None else (m != m_requested)

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import (
     BadShape,
     InvariantViolation,
-    KappaOddWithModdP,
+    NotADivisor,
     NotNormalized,
     ResourceCap,
 )
@@ -38,7 +38,6 @@ from .frames import (
     roots_of_unity,
 )
 from .gf import FieldCtx
-from .subgroups import SubgroupSpec
 
 BRUTE_CAP = 4096
 CLUSTER_TOL = 1e-9
@@ -81,24 +80,19 @@ def bound_general_kappa(m: int, kappa: int) -> float:
     return ((kappa - 1) * _beta(m, kappa) + 1.0 / m) / kappa
 
 
-def bound_m_odd(m: int, kappa: int) -> float:
-    """Sharper bound available when -1 sits in the half-way coset (p and m
-    both odd), which forces kappa even; odd kappa is rejected."""
+def bound_m_odd(m: int, kappa: int) -> float | None:
+    """Sharper bound available when -1 sits in the half-way coset, else
+    None.  -1 lies outside the subgroup exactly when m is odd; with
+    m kappa = n - 1 even (p odd) that puts -1 in the half-way coset, so
+    the bound needs m odd and kappa even."""
     if m < 1 or kappa < 1:
         raise BadShape(f"need m, kappa >= 1, got m={m}, kappa={kappa}")
-    if kappa % 2 != 0:
-        raise KappaOddWithModdP(f"kappa = {kappa} must be even")
+    if m % 2 == 0 or kappa % 2 != 0:
+        return None
     b = _beta(m, kappa)
     half = kappa // 2
     return math.sqrt((1.0 / m + (half - 1) * b) ** 2
                      + half * half * b * b) / kappa
-
-
-def bound_m_odd_where_valid(m: int, kappa: int) -> float | None:
-    """bound_m_odd where it is a bound, else None.  -1 lies outside the
-    subgroup exactly when m is odd; with m kappa = n - 1 even (p odd) that
-    puts -1 in the half-way coset, so kappa is even too."""
-    return bound_m_odd(m, kappa) if m % 2 == 1 and kappa % 2 == 0 else None
 
 
 def bound_sqrt_kappa(n: int, m_dim: int, kappa_count: int) -> float:
@@ -155,18 +149,20 @@ def coherence_properties(mu: float, nu: float, n: int, m_dim: int,
 # exact character-sum path
 # ---------------------------------------------------------------------------
 
-def coset_sums(spec: SubgroupSpec) -> np.ndarray:
+def coset_sums(ctx: FieldCtx, kappa: int) -> np.ndarray:
     """The kappa coset sums c_d = (1/m) sum_{a in A} w**Tr(a x**d), the
-    Gauss periods, one per coset.
+    Gauss periods of the subgroup A of index kappa, one per coset.
 
     The members of A have logs kappa*i, so the phases w**trace_of_exp
     reshaped to (m, kappa) hold Tr(a x**d) for a in A down column d:
     summing the columns gives every sum in one O(n) pass.  For p = 2 the
     phases are +-1 and their sums exact integers before the division by m.
     """
-    ctx = spec.ctx
+    if kappa < 1 or (ctx.n - 1) % kappa != 0:
+        raise NotADivisor(f"kappa = {kappa} does not divide {ctx.n - 1}")
+    m = (ctx.n - 1) // kappa
     phases = roots_of_unity(ctx.p)[ctx.trace_of_exp]
-    return phases.reshape(spec.m, spec.kappa).sum(axis=0) / spec.m
+    return phases.reshape(m, kappa).sum(axis=0) / m
 
 
 def _character_table(p: int, digits: int) -> np.ndarray:
@@ -496,7 +492,7 @@ def _census_report(n: int, m_dim: int, mu: float, nu: float,
     flags["equiangular"] = len(magnitudes) == 1
     if kappa is not None:
         fields.update(bound_general=bound_general_kappa(m_dim, kappa),
-                      bound_m_odd=bound_m_odd_where_valid(m_dim, kappa),
+                      bound_m_odd=bound_m_odd(m_dim, kappa),
                       bound_sqrt_kappa=bound_sqrt_kappa(n, m_dim, kappa))
     return CoherenceReport(
         n=n,
@@ -570,9 +566,9 @@ def analyze(frame, brute: str = "auto",
         # c at log z is periodic with period kappa for a subgroup, so its
         # first period, each value taken by n(n-1)/period ordered pairs,
         # is the census
-        if frame.subgroup is not None:
-            kappa = frame.subgroup.kappa
-            values = coset_sums(frame.subgroup)
+        if frame.kappa is not None:
+            kappa = frame.kappa
+            values = coset_sums(frame.ctx, kappa)
             paths["census_source"] = "coset-sums"
         else:
             values = multiplier_sums(frame.ctx, frame.multiplier_values)

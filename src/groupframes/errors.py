@@ -54,10 +54,6 @@ class BadShape(ValidationError):
     """Dimensions are inconsistent or out of range."""
 
 
-class KappaOddWithModdP(ValidationError):
-    """The refined odd-m bound needs an even number of cosets."""
-
-
 class NotEvenPrimePower(ValidationError):
     """Group order parameter q must be a power of two, q >= 4."""
 

@@ -28,8 +28,7 @@ from .errors import (
     TooManyRows,
     ValidationError,
 )
-from .gf import FieldCtx, build_field, field_size, is_prime
-from .subgroups import SubgroupSpec, subgroup_of_order
+from .gf import FieldCtx, build_field, field_size, is_prime, subgroup_of_order
 
 EXP_CELL_CAP = 2 ** 28
 COMPLEX_CELL_CAP = 2 ** 26
@@ -40,13 +39,14 @@ RNG_NAME = "numpy.random.default_rng(PCG64)"
 @dataclass
 class ExponentFrame:
     """Frame stored as integer exponents of the p-th root of unity; with
-    multiplier_values a_i (and ctx) set, row i is x -> Tr(a_i x) over F_q."""
+    multiplier_values a_i (and ctx) set, row i is x -> Tr(a_i x) over F_q,
+    and kappa is set when the a_i are the subgroup of index kappa."""
 
     p: int
     exps: np.ndarray = field(repr=False)
     provenance: dict
     ctx: FieldCtx | None = None
-    subgroup: SubgroupSpec | None = None
+    kappa: int | None = None
     multiplier_values: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -131,18 +131,17 @@ def build_field_frame(p: int, r: int, m: int,
                       ctx: FieldCtx | None = None) -> ExponentFrame:
     """Group frame: rows indexed by the order-m unit subgroup."""
     ctx = _resolve_ctx(p, r, ctx)
-    spec = subgroup_of_order(ctx, m)
-    exps = _exponent_rows(ctx, spec.element_values)
+    kappa, members = subgroup_of_order(ctx, m)
+    exps = _exponent_rows(ctx, members)
     prov = _base_provenance(ctx)
     prov.update({
         "construction": "field-subgroup",
         "m": m,
-        "kappa": spec.kappa,
+        "kappa": kappa,
         "row_order": "subgroup-power-order",
     })
     return ExponentFrame(p=p, exps=exps, provenance=prov, ctx=ctx,
-                         subgroup=spec,
-                         multiplier_values=spec.element_values)
+                         kappa=kappa, multiplier_values=members)
 
 
 def build_harmonic_frame(n: int, m: int) -> ExponentFrame:
@@ -379,7 +378,10 @@ def load_frame(path: str):
     full columns and names the multipliers, they are attached so the
     exact analysis paths work, and the stored exponents must equal the
     rows they give, or ContextMismatch names the first cell that differs;
-    otherwise the frame takes the dense route.  A bare sign CSV
+    otherwise the frame takes the dense route.  The header keys a report
+    repeats (m_rows, n_cols, m, modulus, generator_value, and the
+    multiplier_values of a subgroup) must match the stored cells and the
+    rebuilt field, or ContextMismatch names the key.  A bare sign CSV
     becomes a p = 2 frame without field context, which only supports the
     brute-force path.  A file that cannot be read or parsed raises
     ValidationError naming the line or header key at fault.
@@ -418,17 +420,21 @@ def load_frame(path: str):
         i, j = (int(v) for v in bad[0])
         raise BadShape(f"{path}: exponent at (row {i}, column {j}) is "
                        f"{int(exps[i, j])}, outside [0, {p})")
-    ctx = subgroup = mv = None
+    # the report repeats the header as its provenance, so each of these
+    # keys the file carries must be what the cells and the field give,
+    # compared as JSON text so that true does not pass for 1
+    repeated = {"m_rows": exps.shape[0], "n_cols": exps.shape[1],
+                "m": exps.shape[0]}
+    ctx = kappa = mv = None
     if "r" in header:
         ctx = build_field(p, _header_int(header, "r", path))
-        if "modulus" in header and list(ctx.modulus) != header["modulus"]:
-            raise ContextMismatch("stored modulus does not match "
-                                  "canonical construction")
+        repeated.update(modulus=list(ctx.modulus),
+                        generator_value=ctx.generator.value)
     if ctx is not None and header.get("full_columns"):
         if header.get("construction") in ("field-subgroup", "harmonic",
                                           "hadamard-rows"):
-            subgroup = subgroup_of_order(ctx, _header_int(header, "m", path))
-            mv = subgroup.element_values
+            kappa, mv = subgroup_of_order(ctx, _header_int(header, "m", path))
+            repeated["multiplier_values"] = mv.tolist()
         elif "multiplier_values" in header:
             mv = header["multiplier_values"]
             if not (isinstance(mv, list) and mv and all(
@@ -438,6 +444,10 @@ def load_frame(path: str):
             mv = np.array(mv, dtype=np.int64)
         if mv is not None:
             _check_stored_rows(exps, _exponent_rows(ctx, mv))
+    for key, want in repeated.items():
+        if key in header and json.dumps(header[key]) != json.dumps(want):
+            raise ContextMismatch(f"{path}: header {key} does not match "
+                                  f"the stored frame and its field")
     return ExponentFrame(
-        p=p, exps=exps, provenance=header, ctx=ctx, subgroup=subgroup,
+        p=p, exps=exps, provenance=header, ctx=ctx, kappa=kappa,
         multiplier_values=mv)

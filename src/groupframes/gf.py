@@ -26,6 +26,7 @@ from .errors import (
     ContextMismatch,
     DegreeTooLarge,
     InvariantViolation,
+    NotADivisor,
     NotPrime,
 )
 
@@ -353,3 +354,15 @@ class FieldCtx:
 def build_field(p: int, r: int) -> FieldCtx:
     """Construct GF(p**r) with canonical modulus, generator and tables."""
     return FieldCtx(p, r)
+
+
+def subgroup_of_order(ctx: FieldCtx, m: int) -> tuple[int, np.ndarray]:
+    """(kappa, members) of the unique subgroup A of GF(p**r)* with m
+    elements: its index kappa = (p**r - 1)/m, which alone describes A over
+    the field tables, and its members g**(kappa*i) in power order, every
+    kappa-th entry of the exponent table."""
+    order = ctx.n - 1
+    if m < 1 or order % m != 0:
+        raise NotADivisor(f"m = {m} does not divide {order}")
+    kappa = order // m
+    return kappa, ctx.value_of_exp[::kappa].copy()

@@ -12,8 +12,6 @@ exist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .coherence import (
@@ -21,18 +19,16 @@ from .coherence import (
     _census_report,
     bound_general_kappa,
     cluster_complex,
-    multiplier_sums,
+    coset_sums,
 )
 from .errors import (
-    InvariantViolation,
     MNotOddDivisor,
     NotEvenPrimePower,
     QMinusOneNotPrime,
     QPlusOneNotPrime,
     ResourceCap,
 )
-from .gf import build_field, is_prime
-from .subgroups import subgroup_of_order
+from .gf import build_field, is_prime, subgroup_of_order
 
 Q_CAP = 2 ** 16
 
@@ -42,34 +38,6 @@ def _check_q(q: int):
         raise NotEvenPrimePower(f"q = {q} must be 2**d with d >= 2")
     if q > Q_CAP:
         raise ResourceCap(f"q = {q} exceeds cap {Q_CAP}")
-
-
-@dataclass(frozen=True)
-class Sl2ClassData:
-    """Conjugacy-class census of SL2(F_q): (kind, class count, class size)."""
-
-    q: int
-    families: tuple
-
-    @property
-    def total(self) -> int:
-        return sum(count * size for _, count, size in self.families)
-
-
-def sl2_class_data(q: int) -> Sl2ClassData:
-    """The four class families: identity, unipotent, split and nonsplit
-    torus classes, with the standard counts and sizes."""
-    _check_q(q)
-    fams = (
-        ("identity", 1, 1),
-        ("unipotent", 1, q * q - 1),
-        ("split", (q - 2) // 2, q * (q + 1)),
-        ("nonsplit", q // 2, q * (q - 1)),
-    )
-    data = Sl2ClassData(q=q, families=fams)
-    if data.total != q ** 3 - q:
-        raise InvariantViolation(f"class mass {data.total} != {q ** 3 - q}")
-    return data
 
 
 def _degree(q: int, m: int, mode: str) -> int:
@@ -92,12 +60,12 @@ def _degree(q: int, m: int, mode: str) -> int:
 
 def _class_sums(p: int, m: int) -> tuple:
     # A2m and s_l = sum_{a in A2m} w_p**(l a) for l = 1..p-1.  Tr is the
-    # identity on the prime field, so s_l = 2m c_l with c the multiplier
-    # sums of A2m, read at log l.
+    # identity on the prime field, so s_l = 2m c with c the Gauss period
+    # of the coset of l: the coset sum at log l mod the index of A2m
     ctx = build_field(p, 1)
-    a2m = subgroup_of_order(ctx, 2 * m).element_values
-    c = multiplier_sums(ctx, a2m)
-    return a2m, 2 * m * c[ctx.log_of_value[1:]]
+    kappa, a2m = subgroup_of_order(ctx, 2 * m)
+    c = coset_sums(ctx, kappa)
+    return a2m, 2 * m * c[ctx.log_of_value[1:] % kappa]
 
 
 def sl2_report(q: int, m: int, mode: str,
@@ -118,28 +86,31 @@ def sl2_report(q: int, m: int, mode: str,
     # carrying characters mod p give |s_l| / (m deg) for l = 1..p-1
     u = 1.0 / deg
     w = np.abs(sums) / (m * deg)
+    # the classes of SL2(F_q) besides the identity: one unipotent class of
+    # q^2 - 1 elements, (q - 2)/2 split torus classes of q(q + 1) and q/2
+    # nonsplit ones of q(q - 1), as (count, size); the torus family that
+    # carries the characters takes the sums, the other one the value 0
+    split, nonsplit = ((q - 2) // 2, q * (q + 1)), (q // 2, q * (q - 1))
     # cuspidal characters are -1 on the unipotent class and minus the torus
     # sums, so every cuspidal inner product carries a minus sign
     if mode == "induced":
-        sign, carrier, silent = 1.0, "split", "nonsplit"
+        sign, carrier, silent = 1.0, split, nonsplit
         # the split-class value is 2|c_l|/(q+1) with c_l a sum over the
         # order-2m subgroup of index (q-2)/2m, hence twice the coset-sum
         # bound
         kappa = (q - 2) // (2 * m)
         sl2_bound = max(1.0, 2.0 * bound_general_kappa(2 * m, kappa)) / deg
     else:
-        sign, carrier, silent = -1.0, "nonsplit", "split"
+        sign, carrier, silent = -1.0, nonsplit, split
         sl2_bound = None
     signed = sign * sums[:(p - 1) // 2] / (m * deg)
 
     # every class value is taken by n * (class mass) ordered pairs; the
     # common factor n is the census scale
-    sizes = {kind: (count, size)
-             for kind, count, size in sl2_class_data(q).families}
     values = np.concatenate(([sign / deg], signed, [0.0]))
     weights = np.concatenate((
-        [q * q - 1], np.full(len(signed), sizes[carrier][1]),
-        [sizes[silent][0] * sizes[silent][1]]))
+        [q * q - 1], np.full(len(signed), carrier[1]),
+        [silent[0] * silent[1]]))
     reps, counts = cluster_complex(values, weights=weights)
     return _census_report(
         n, m * deg ** 2, float(max(u, w.max())), 1.0 / (n - 1),

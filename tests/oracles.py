@@ -8,11 +8,12 @@ coset, the translation-degree row sums, the beta modulus of the w-vector
 and the orbit form of the mean-square bound.  Elements are base-p values
 (ints); zero has no log, no inverse and no coset.  Oracles check the
 fast kernels: character sums from exact trace-value counts and from the
-length-(n-1) FFT correlation the package once used, the Sylvester row
-labels bit by bit, and the census clustering by full re-sorts of every
-group on every pass.  The dense kernels are checked against the
-full-matrix products the package once used, and cli._divisors against
-trial division.
+length-(n-1) FFT correlation the package once used, subgroup members
+from their logs, the SL2 class sums from the transform of the subgroup
+as a list, the Sylvester row labels bit by bit, and the census
+clustering by full re-sorts of every group on every pass.  The dense
+kernels are checked against the full-matrix products the package once
+used, and cli._divisors against trial division.
 """
 
 import math
@@ -24,11 +25,12 @@ from groupframes.coherence import (
     CLUSTER_TOL,
     _require_normalized,
     cluster_complex,
+    multiplier_sums,
     welch_bound,
 )
 from groupframes.errors import BadShape, ResourceCap
 from groupframes.frames import roots_of_unity
-from groupframes.gf import is_prime
+from groupframes.gf import build_field, is_prime
 from groupframes.sl2 import Q_CAP
 
 # ---------------------------------------------------------------------------
@@ -84,34 +86,46 @@ def trace(ctx, a):
 
 
 # ---------------------------------------------------------------------------
-# cosets of a subgroup A
+# cosets of the subgroup A of index kappa
 # ---------------------------------------------------------------------------
 
 ZERO = None  # the pseudo-coset {0}
 
 
-def elements(spec):
-    return [int(v) for v in spec.element_values]
+def member_logs(ctx, kappa):
+    """The logs kappa*i mod (n-1), i = 0..m-1, of the members of A."""
+    m = (ctx.n - 1) // kappa
+    return (kappa * np.arange(m, dtype=np.int64)) % (ctx.n - 1)
 
 
-def coset_values(spec, d):
+def subgroup_members(ctx, kappa):
+    """Oracle for gf.subgroup_of_order: the members of A in power order,
+    gathered at their logs."""
+    return ctx.value_of_exp[member_logs(ctx, kappa)]
+
+
+def elements(ctx, kappa):
+    return [int(v) for v in subgroup_members(ctx, kappa)]
+
+
+def coset_values(ctx, kappa, d):
     """Values of the coset x**d A, where x is the canonical generator."""
-    if not 0 <= d < spec.kappa:
-        raise BadShape(f"coset index {d} outside [0, {spec.kappa})")
-    return spec.ctx.value_of_exp[(spec.element_logs + d) % (spec.ctx.n - 1)]
+    if not 0 <= d < kappa:
+        raise BadShape(f"coset index {d} outside [0, {kappa})")
+    return ctx.value_of_exp[(member_logs(ctx, kappa) + d) % (ctx.n - 1)]
 
 
-def coset_of(spec, z):
+def coset_of(ctx, kappa, z):
     """Index d in [0, kappa) with z in x**d A."""
-    return log(spec.ctx, z) % spec.kappa
+    return log(ctx, z) % kappa
 
 
-def is_difference_set(spec):
+def is_difference_set(ctx, kappa):
     """(True, lam) when every nonzero element is a difference a - a' of
     members of A exactly lam times, else (False, None)."""
-    ctx = spec.ctx
     powers = np.int64(ctx.p) ** np.arange(ctx.r, dtype=np.int64)
-    digits = spec.element_values.astype(np.int64)[:, None] // powers % ctx.p
+    members = subgroup_members(ctx, kappa)
+    digits = members.astype(np.int64)[:, None] // powers % ctx.p
     counts = np.zeros(ctx.n, dtype=np.int64)
     for row in digits:
         counts += np.bincount((row - digits) % ctx.p @ powers,
@@ -120,17 +134,16 @@ def is_difference_set(spec):
     return (True, int(lams[0])) if len(lams) == 1 else (False, None)
 
 
-def translation_degree(spec, s, t):
+def translation_degree(ctx, kappa, s, t):
     """Number of z in S with 1 + z in T, where S, T are coset indices or
     ZERO for {0}."""
-    ctx, kappa = spec.ctx, spec.kappa
     for lbl in (s, t):
         if lbl is not ZERO and not 0 <= lbl < kappa:
             raise BadShape(f"coset label {lbl!r} outside [0, {kappa}) or ZERO")
     if s is ZERO:
-        return int(t is not ZERO and coset_of(spec, 1) == t)
+        return int(t is not ZERO and coset_of(ctx, kappa, 1) == t)
     # adding one changes only the constant base-p digit
-    values = coset_values(spec, s)
+    values = coset_values(ctx, kappa, s)
     c0 = values % ctx.p
     shifted = values - c0 + (c0 + 1) % ctx.p
     if t is ZERO:
@@ -139,14 +152,12 @@ def translation_degree(spec, s, t):
     return int(np.count_nonzero((logs >= 0) & (logs % kappa == t)))
 
 
-def parity_of_minus_one(spec):
+def parity_of_minus_one(ctx, kappa):
     """Where -1 = g**((n-1)/2) lands (-1 = 1 when p = 2): inside A, or in
     which coset."""
-    ctx = spec.ctx
-    coset = (0 if ctx.p == 2 else (ctx.n - 1) // 2) % spec.kappa
+    coset = (0 if ctx.p == 2 else (ctx.n - 1) // 2) % kappa
     return {"in_A": coset == 0, "coset": coset,
-            "is_half_kappa": spec.kappa % 2 == 0
-            and coset == spec.kappa // 2}
+            "is_half_kappa": kappa % 2 == 0 and coset == kappa // 2}
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +329,15 @@ def w_vector_check(sums, m):
     return {"w": w, "beta": beta, "max_violation": float(max(dev))}
 
 
+def bound_m_odd_formula(m, kappa):
+    """The refined odd-m bound's closed form, computed whether or not -1
+    sits in the half-way coset, where alone it is a bound."""
+    beta = math.sqrt((kappa + 1.0 / m) / m)
+    half = kappa // 2
+    return math.sqrt((1.0 / m + (half - 1) * beta) ** 2
+                     + half * half * beta * beta) / kappa
+
+
 def bound_orbit_min(group_order, min_orbit_block, n, m_dim):
     """Orbit form of the mean-square bound:
     sqrt((|G| - 1)/min block size) * welch."""
@@ -333,6 +353,27 @@ def admissible_q(mode, cap=Q_CAP):
     step = -1 if mode == "induced" else 1
     return [2 ** d for d in range(2, cap.bit_length())
             if is_prime(2 ** d + step)]
+
+
+def sl2_cases():
+    """Every admissible (q, m, mode): m an odd divisor of q - 2 (induced)
+    or of q (cuspidal)."""
+    cases = []
+    for mode, base in (("induced", -2), ("cuspidal", 0)):
+        for q in admissible_q(mode):
+            cases += [(q, m, mode) for m in range(1, q + base + 1, 2)
+                      if (q + base) % m == 0]
+    return cases
+
+
+def sl2_class_sums_by_transform(p, m):
+    """Oracle for sl2._class_sums: the subgroup A2m of order 2m in GF(p)*
+    and s_l = 2m c at log l, l = 1..p-1, with c the additive-character
+    transform (multiplier_sums) of the list A2m, not its coset sums."""
+    ctx = build_field(p, 1)
+    a2m = subgroup_members(ctx, (p - 1) // (2 * m))
+    c = multiplier_sums(ctx, a2m)
+    return a2m, 2 * m * c[ctx.log_of_value[1:]]
 
 
 def divisors_by_trial(x):

@@ -22,7 +22,7 @@ from groupframes.frames import (
 )
 from groupframes.gf import is_prime
 from groupframes.sl2 import sl2_report
-from oracles import admissible_q, divisors_by_trial, histogram_csv_np
+from oracles import divisors_by_trial, histogram_csv_np, sl2_cases
 
 
 def read(path):
@@ -54,17 +54,6 @@ def outputs_match_their_oracles(monkeypatch):
 
     monkeypatch.setattr(cli, "_json_text", checked_json)
     monkeypatch.setattr(cli, "_histogram_csv", checked_histogram)
-
-
-def sl2_cases():
-    # every admissible (q, m, mode): m an odd divisor of q - 2 (induced)
-    # or of q (cuspidal)
-    cases = []
-    for mode, base in (("induced", -2), ("cuspidal", 0)):
-        for q in admissible_q(mode):
-            cases += [(q, m, mode) for m in range(1, q + base + 1, 2)
-                      if (q + base) % m == 0]
-    return cases
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +113,7 @@ def test_construct_harmonic_p2_writes_exponents(tmp_path):
     assert read(out).startswith(b"# ")
     frame = load_frame(out)
     assert frame.exps.tolist() == [[0, 1]]
-    assert frame.subgroup is not None
+    assert frame.kappa == 1
 
 
 def test_construct_random_requires_seed(tmp_path, capsys):
@@ -215,6 +204,8 @@ BAD_FRAME_FILES = {
                     "ValidationError", "needs an integer 'p', got None"),
     "header-no-m": ("f.csv", _header_edit('"m": 13, ', ""),
                     "ValidationError", "needs an integer 'm', got None"),
+    "header-m-rows": ("f.csv", _header_edit('"m_rows": 13', '"m_rows": 99'),
+                      "ContextMismatch", "header m_rows does not match"),
     "missing": ("f.csv", None, "ValidationError", "cannot read"),
     "empty": ("f.csv", lambda t: "", "ValidationError", "no frame cells"),
     "sign-word": ("f.csv", lambda t: "1,-1\n1,word\n", "ValidationError",
@@ -533,6 +524,29 @@ def test_size_caps_admit_their_limit(tmp_path):
                  "--histogram", hist, "--bins", "100000"]) == 0
     with open(hist) as fh:
         assert len(fh.readlines()) == 100001
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_output_file_modes(umask, tmp_path):
+    # every output is created as open(path, "w") would create it, 0o666
+    # less the umask, and one that replaces a file keeps that file's mode
+    report = str(tmp_path / "rep.json")
+    out = str(tmp_path / "f.csv")
+    old = os.umask(umask)
+    try:
+        assert main(["analyze", "--field", "7", "1", "--m", "3",
+                     "--report", report]) == 0
+        assert main(["construct", "--field", "3", "3", "--m", "13",
+                     "--out", out, "--exponent-out", out + ".exp"]) == 0
+        for path in (report, out, out + ".provenance.json", out + ".exp"):
+            assert os.stat(path).st_mode & 0o7777 == 0o666 & ~umask, path
+        os.chmod(report, 0o640)
+        assert main(["analyze", "--field", "7", "1", "--m", "6",
+                     "--report", report]) == 0
+        assert json.loads(read(report))["m_dim"] == 6
+        assert os.stat(report).st_mode & 0o7777 == 0o640
+    finally:
+        os.umask(old)
 
 
 def test_scratch_env_respected(tmp_path, monkeypatch):

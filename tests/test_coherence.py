@@ -28,7 +28,7 @@ from groupframes.coherence import (
 from groupframes.errors import (
     BadShape,
     InvariantViolation,
-    KappaOddWithModdP,
+    NotADivisor,
     NotNormalized,
     ResourceCap,
 )
@@ -43,11 +43,11 @@ from groupframes.frames import (
     build_random_hadamard_frame,
     materialize,
 )
-from groupframes.gf import build_field, is_prime
+from groupframes.gf import build_field, is_prime, subgroup_of_order
 from groupframes.sl2 import sl2_report
-from groupframes.subgroups import subgroup_of_order
 import oracles
 from oracles import (
+    bound_m_odd_formula,
     bound_orbit_min,
     cluster_complex_resort,
     fft_correlation_sums,
@@ -88,8 +88,14 @@ def test_bound_general_kappa_values():
 def test_bound_m_odd_values():
     assert abs(bound_m_odd(13, 2) - 0.20353) < 5e-5
     assert abs(bound_m_odd(1, 2) - 1.0) < 1e-12
-    with pytest.raises(KappaOddWithModdP):
-        bound_m_odd(5, 3)
+    # a bound only with m odd and kappa even, None elsewhere
+    assert bound_m_odd(5, 3) is None
+    assert bound_m_odd(4, 2) is None
+    assert bound_m_odd(13, 2) == bound_m_odd_formula(13, 2)
+    with pytest.raises(BadShape):
+        bound_m_odd(0, 2)
+    with pytest.raises(BadShape):
+        bound_m_odd(3, 0)
 
 
 def test_bound_m_odd_meets_welch_at_paley():
@@ -138,42 +144,51 @@ def test_coset_sum_identity():
     # 1 + m * sum_d c_d = 0 for every subgroup
     for p, r, m in [(3, 3, 13), (7, 1, 3), (2, 8, 51), (5, 2, 8),
                     (13, 1, 6)]:
-        spec = subgroup_of_order(build_field(p, r), m)
-        cs = coset_sums(spec)
+        ctx = build_field(p, r)
+        kappa, _ = subgroup_of_order(ctx, m)
+        cs = coset_sums(ctx, kappa)
         assert abs(1 + m * cs.sum()) < 1e-9
+    # an index that does not divide n - 1 names no subgroup
+    for kappa in (0, 5, 27):
+        with pytest.raises(NotADivisor):
+            coset_sums(build_field(3, 3), kappa)
 
 
 def test_coset_sum_conjugation_symmetry():
     for p, r, m in [(3, 3, 13), (5, 2, 8), (13, 1, 6), (3, 5, 121),
                     (13, 1, 3)]:
-        spec = subgroup_of_order(build_field(p, r), m)
-        cs = coset_sums(spec)
-        if parity_of_minus_one(spec)["in_A"]:
+        ctx = build_field(p, r)
+        kappa, _ = subgroup_of_order(ctx, m)
+        cs = coset_sums(ctx, kappa)
+        if parity_of_minus_one(ctx, kappa)["in_A"]:
             # -A = A makes every sum real
             assert np.max(np.abs(cs.imag)) < 1e-12
         else:
-            half = spec.kappa // 2
+            half = kappa // 2
             paired = np.conj(np.roll(cs, -half))
             assert np.max(np.abs(cs - paired)) < 1e-12
 
 
 def test_w_vector_identity():
     for p, r, m in [(3, 3, 13), (2, 8, 51), (7, 1, 3), (11, 1, 5)]:
-        spec = subgroup_of_order(build_field(p, r), m)
-        res = w_vector_check(coset_sums(spec), m)
+        ctx = build_field(p, r)
+        kappa, _ = subgroup_of_order(ctx, m)
+        res = w_vector_check(coset_sums(ctx, kappa), m)
         assert res["max_violation"] < 1e-9
-    spec = subgroup_of_order(build_field(3, 3), 13)
-    assert abs(w_vector_check(coset_sums(spec), 13)["beta"] - 0.39970) < 5e-5
+    ctx = build_field(3, 3)
+    kappa, _ = subgroup_of_order(ctx, 13)
+    assert abs(w_vector_check(coset_sums(ctx, kappa), 13)["beta"]
+               - 0.39970) < 5e-5
 
 
 def test_multiplier_sums_extend_coset_sums():
     ctx = build_field(3, 3)
-    spec = subgroup_of_order(ctx, 13)
-    cs = coset_sums(spec)
-    ms = multiplier_sums(ctx, spec.element_values)
+    kappa, members = subgroup_of_order(ctx, 13)
+    cs = coset_sums(ctx, kappa)
+    ms = multiplier_sums(ctx, members)
     # sums indexed by log z; constant on cosets (log mod kappa)
     for ell in range(ctx.n - 1):
-        assert abs(ms[ell] - cs[ell % spec.kappa]) < 1e-12
+        assert abs(ms[ell] - cs[ell % kappa]) < 1e-12
 
 
 def _fields(limit):
@@ -193,11 +208,11 @@ def test_multiplier_sums_match_histogram_oracle_on_subgroups():
         ctx = build_field(p, r)
         order = ctx.n - 1
         for m in [d for d in range(1, order + 1) if order % d == 0]:
-            spec = subgroup_of_order(ctx, m)
-            got = multiplier_sums(ctx, spec.element_values)
-            want = histogram_sums(ctx, spec.element_values, spec.kappa)
+            kappa, members = subgroup_of_order(ctx, m)
+            got = multiplier_sums(ctx, members)
+            want = histogram_sums(ctx, members, kappa)
             worst = max(worst, float(np.max(np.abs(
-                got - want[np.arange(order) % spec.kappa]))))
+                got - want[np.arange(order) % kappa]))))
             cases += 1
     assert cases == 2162
     assert worst <= 1e-12
@@ -212,10 +227,10 @@ def test_coset_sums_match_histogram_oracle_on_subgroups():
         ctx = build_field(p, r)
         order = ctx.n - 1
         for m in [d for d in range(1, order + 1) if order % d == 0]:
-            spec = subgroup_of_order(ctx, m)
-            got = coset_sums(spec)
-            want = histogram_sums(ctx, spec.element_values, spec.kappa)
-            assert got.shape == (spec.kappa,)
+            kappa, members = subgroup_of_order(ctx, m)
+            got = coset_sums(ctx, kappa)
+            want = histogram_sums(ctx, members, kappa)
+            assert got.shape == (kappa,)
             if p == 2:
                 assert np.array_equal(got, want), (r, m)
             worst = max(worst, float(np.max(np.abs(got - want))))
@@ -285,7 +300,8 @@ def test_analyze_prime_field_census_at_65537():
     rep = analyze(build_harmonic_frame(65537, 2), brute="off")
     assert rep.kappa == 32768
     assert sum(c for _, c in rep.distinct_values) == rep.n * (rep.n - 1)
-    sums = coset_sums(subgroup_of_order(build_field(65537, 1), 2))
+    ctx = build_field(65537, 1)
+    sums = coset_sums(ctx, subgroup_of_order(ctx, 2)[0])
     assert abs(rep.mu - np.max(np.abs(sums))) < 1e-15
 
 
@@ -666,7 +682,8 @@ def test_bound_m_odd_reported_only_where_valid():
     assert reported == 747
     # the first frame that reported it wrongly: GF(5), m = 2, mu > bound
     rep = analyze(build_field_frame(5, 1, 2), brute="off")
-    assert rep.bound_m_odd is None and rep.mu > bound_m_odd(2, 2)
+    assert rep.bound_m_odd is None and bound_m_odd(2, 2) is None
+    assert rep.mu > bound_m_odd_formula(2, 2)
 
 
 def test_analyze_off_refuses_unstructured_before_dense_work(monkeypatch):

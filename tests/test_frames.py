@@ -31,8 +31,7 @@ from groupframes.frames import (
     save_exponent_csv,
     save_sign_csv,
 )
-from groupframes.gf import build_field, is_prime
-from groupframes.subgroups import subgroup_of_order
+from groupframes.gf import build_field, is_prime, subgroup_of_order
 from oracles import mul, sylvester_row_labels, trace
 
 
@@ -68,8 +67,7 @@ def test_exponent_rows_match_oracle_on_subgroups():
         ctx = build_field(p, r)
         order = n - 1
         for m in [d for d in range(1, order + 1) if order % d == 0]:
-            assert_rows_match_oracle(
-                ctx, subgroup_of_order(ctx, m).element_values)
+            assert_rows_match_oracle(ctx, subgroup_of_order(ctx, m)[1])
             cases += 1
     assert cases == 2162
 
@@ -122,8 +120,9 @@ def test_field_frame_shape_and_range():
     assert f.exps.shape == (13, 27)
     assert f.exps.min() == 0 and f.exps.max() <= 2
     assert f.provenance["construction"] == "field-subgroup"
-    assert f.provenance["kappa"] == 2
-    assert np.array_equal(f.multiplier_values, f.subgroup.element_values)
+    assert f.provenance["kappa"] == f.kappa == 2
+    assert np.array_equal(f.multiplier_values,
+                          subgroup_of_order(f.ctx, 13)[1])
 
 
 def test_rows_distinct():
@@ -193,8 +192,10 @@ def test_sign_to_exponent_conversion(tmp_path):
     sm = build_hadamard_frame(3, 7)
     ef = build_field_frame(2, 3, 7)
     assert np.array_equal(sm.exps, ef.exps)
-    assert sm.ctx is not None and sm.subgroup.m == 7
-    assert np.array_equal(sm.multiplier_values, sm.subgroup.element_values)
+    # m = 7 = 2**3 - 1: the subgroup of index 1
+    assert sm.ctx is not None and sm.kappa == 1
+    assert np.array_equal(sm.multiplier_values,
+                          subgroup_of_order(sm.ctx, 7)[1])
     path = str(tmp_path / "s.csv")
     save_sign_csv(sm, path)
     signs = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2)
@@ -331,7 +332,7 @@ def test_exponent_csv_round_trip(tmp_path):
     g = load_frame(path)
     assert np.array_equal(g.exps, f.exps)
     assert g.ctx is not None
-    assert g.subgroup is not None and g.subgroup.m == 13
+    assert g.kappa == 2  # m = 13 in GF(27)
     assert np.array_equal(g.multiplier_values, f.multiplier_values)
 
 
@@ -350,7 +351,7 @@ def test_exponent_csv_without_full_columns_loads_dense(tmp_path):
     g = load_frame(path)
     assert np.array_equal(g.exps, f.exps)
     assert g.ctx is not None
-    assert g.subgroup is None and g.multiplier_values is None
+    assert g.kappa is None and g.multiplier_values is None
 
 
 def test_random_exponent_csv_round_trip(tmp_path):
@@ -382,18 +383,59 @@ def test_bare_csv_rejects_non_sign_entries(tmp_path):
         load_frame(path)
 
 
+def _tamper_header(path, key, value):
+    # set one key of an exponent CSV's JSON header
+    with open(path) as fh:
+        lines = fh.readlines()
+    header = json.loads(lines[0][1:])
+    header[key] = value
+    lines[0] = "# " + json.dumps(header, sort_keys=True) + "\n"
+    with open(path, "w") as fh:
+        fh.writelines(lines)
+
+
 def test_tampered_modulus_rejected(tmp_path):
     f = build_field_frame(3, 3, 13)
     path = str(tmp_path / "f.csv")
     save_exponent_csv(f, path)
-    with open(path) as fh:
-        lines = fh.readlines()
-    header = json.loads(lines[0][1:])
-    header["modulus"] = [2, 1, 0, 1]
-    lines[0] = "# " + json.dumps(header, sort_keys=True) + "\n"
-    with open(path, "w") as fh:
-        fh.writelines(lines)
-    with pytest.raises(ContextMismatch):
+    _tamper_header(path, "modulus", [2, 1, 0, 1])
+    with pytest.raises(ContextMismatch, match="header modulus"):
+        load_frame(path)
+
+
+# header keys a report repeats as provenance, each edited in an exponent
+# CSV of GF(3^3) with 13 rows: (construction, edited value)
+REPEATED_KEYS = {
+    "m_rows": ("field-subgroup", 99),
+    "n_cols": ("field-subgroup", 5),
+    "m": ("random-multipliers", 12),
+    "generator_value": ("field-subgroup", 999),
+    "multiplier_values": ("field-subgroup", [2, 5, 7]),
+}
+
+
+@pytest.mark.parametrize("key", sorted(REPEATED_KEYS))
+def test_tampered_repeated_header_key_rejected(key, tmp_path):
+    construction, value = REPEATED_KEYS[key]
+    f = (build_field_frame(3, 3, 13) if construction == "field-subgroup"
+         else build_random_exponent_frame(3, 3, 13, seed=4))
+    path = str(tmp_path / "f.csv")
+    save_exponent_csv(f, path)
+    g = load_frame(path)
+    assert g.provenance["construction"] == construction
+    assert g.provenance[key] != value
+    _tamper_header(path, key, value)
+    with pytest.raises(ContextMismatch, match=f"header {key} does not"):
+        load_frame(path)
+
+
+def test_header_true_does_not_pass_for_one(tmp_path):
+    # JSON true equals 1 in Python, but a report would repeat it as true
+    path = str(tmp_path / "f.csv")
+    save_exponent_csv(build_field_frame(3, 1, 1), path)
+    assert load_frame(path).m_rows == 1
+    _tamper_header(path, "m_rows", True)
+    with pytest.raises(ContextMismatch, match="header m_rows does not"):
         load_frame(path)
 
 

@@ -1,47 +1,67 @@
-"""SL2(F_q) class data and character-level coherence."""
+"""SL2(F_q) class census and character-level coherence."""
 
 import numpy as np
 import pytest
 
 import groupframes.sl2 as sl2
 from groupframes.errors import (
-    InvariantViolation,
     MNotOddDivisor,
     NotEvenPrimePower,
     QMinusOneNotPrime,
     QPlusOneNotPrime,
     ResourceCap,
 )
-from groupframes.gf import build_field
-from groupframes.sl2 import sl2_class_data, sl2_report
-from groupframes.subgroups import subgroup_of_order
-from oracles import admissible_q
+from groupframes.gf import build_field, subgroup_of_order
+from groupframes.sl2 import sl2_report
+from oracles import admissible_q, sl2_cases, sl2_class_sums_by_transform
+
+
+def pair_counts(rep):
+    # ordered pairs per census value, over n: the class mass of the value
+    return {round(v.real, 9): c // rep.n for v, c in rep.distinct_values}
 
 
 def test_class_data_q4():
-    d = sl2_class_data(4)
-    assert d.total == 60
-    fams = dict((k, (c, s)) for k, c, s in d.families)
-    assert fams["identity"] == (1, 1)
-    assert fams["unipotent"] == (1, 15)
-    assert fams["split"] == (1, 20)
-    assert fams["nonsplit"] == (2, 12)
+    # the classes of SL2(F_4), n = 60, read off the census: the identity
+    # is the diagonal, the unipotent class holds 15 elements, the one
+    # split class 20 and the two nonsplit classes 12 each
+    induced = sl2_report(4, 1, "induced")
+    cuspidal = sl2_report(4, 1, "cuspidal")
+    assert induced.n == cuspidal.n == 60
+    for rep in (induced, cuspidal):
+        assert sum(pair_counts(rep).values()) + 1 == 60
+    # induced: 1/5 on the unipotent class, -1/5 on the split class, 0 on
+    # the nonsplit ones
+    assert pair_counts(induced) == {0.2: 15, -0.2: 20, 0.0: 2 * 12}
+    # cuspidal: -1/3 on the unipotent class, one value per nonsplit
+    # class, 0 on the split class
+    counts = pair_counts(cuspidal)
+    assert counts.pop(round(-1 / 3, 9)) == 15
+    assert counts.pop(0.0) == 20
+    assert sorted(counts.values()) == [12, 12]
 
 
 @pytest.mark.parametrize("q", [4, 8, 16, 32])
 def test_class_mass_conservation(q):
-    assert sl2_class_data(q).total == q ** 3 - q
+    # the identity and the classes the census weighs make up the group
+    for mode in ("induced", "cuspidal"):
+        if q in admissible_q(mode):
+            rep = sl2_report(q, 1, mode)
+            assert rep.n == q ** 3 - q
+            pairs = sum(c for _, c in rep.distinct_values)
+            assert pairs // rep.n + 1 == q ** 3 - q
 
 
 def test_q_validation():
-    with pytest.raises(NotEvenPrimePower):
-        sl2_class_data(6)
-    with pytest.raises(NotEvenPrimePower):
-        sl2_class_data(2)
-    with pytest.raises(NotEvenPrimePower):
-        sl2_class_data(27)
-    with pytest.raises(ResourceCap):
-        sl2_class_data(2 ** 17)
+    for mode in ("induced", "cuspidal"):
+        with pytest.raises(NotEvenPrimePower):
+            sl2_report(6, 1, mode)
+        with pytest.raises(NotEvenPrimePower):
+            sl2_report(2, 1, mode)
+        with pytest.raises(NotEvenPrimePower):
+            sl2_report(27, 1, mode)
+        with pytest.raises(ResourceCap):
+            sl2_report(2 ** 17, 1, mode)
 
 
 def test_admissible_q_lists():
@@ -117,8 +137,7 @@ def test_a2m_is_the_order_2m_subgroup():
         p = q - 1
         vals = set(sl2_report(q, m, "induced").provenance["A2m"])
         ctx = build_field(p, 1)
-        sub = set(int(v) for v in
-                  subgroup_of_order(ctx, 2 * m).element_values)
+        sub = set(int(v) for v in subgroup_of_order(ctx, 2 * m)[1])
         assert vals == sub
         neg = set((p - v) % p for v in vals)
         assert neg == vals  # symmetric set
@@ -174,8 +193,8 @@ def test_report_bad_mode():
 @pytest.mark.parametrize("q, m, mode", [(8, 1, "induced"), (8192, 1, "induced"),
                                         (65536, 1, "cuspidal")])
 def test_report_builds_field_once(monkeypatch, q, m, mode):
-    # one field build and one character-sum kernel call per report
-    calls = {"build_field": 0, "multiplier_sums": 0}
+    # one field build and one coset-sum kernel call per report
+    calls = {"build_field": 0, "coset_sums": 0}
 
     def counted(name):
         real = getattr(sl2, name)
@@ -188,7 +207,27 @@ def test_report_builds_field_once(monkeypatch, q, m, mode):
     for name in calls:
         monkeypatch.setattr(sl2, name, counted(name))
     rep = sl2_report(q, m, mode)
-    assert calls == {"build_field": 1, "multiplier_sums": 1}
+    assert calls == {"build_field": 1, "coset_sums": 1}
     a2m = subgroup_of_order(build_field(rep.provenance["character_modulus"],
-                                        1), 2 * m).element_values
+                                        1), 2 * m)[1]
     assert rep.provenance["A2m"] == sorted(int(v) for v in a2m)
+
+
+def test_class_sums_match_transform_oracle():
+    # for every admissible (q, m, mode) the coset-sum gather agrees with
+    # the transform of A2m as a list, within 1e-15 on the report's torus
+    # values, and takes exactly one float per coset of A2m
+    cases = sl2_cases()
+    assert len(cases) == 41
+    for q, m, mode in cases:
+        deg = sl2._degree(q, m, mode)
+        p = 2 * q - deg
+        a2m, sums = sl2._class_sums(p, m)
+        want_a2m, want = sl2_class_sums_by_transform(p, m)
+        assert np.array_equal(a2m, want_a2m)
+        assert np.max(np.abs(sums - want)) / (m * deg) <= 1e-15
+        kappa = (p - 1) // (2 * m)
+        assert len(np.unique(sums)) == kappa, (q, m, mode)
+        w = sl2_report(q, m, mode).extra["w_values"]
+        assert np.max(np.abs(np.array(w) - np.abs(want) / (m * deg))) \
+            <= 1e-15

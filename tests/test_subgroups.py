@@ -5,7 +5,7 @@ import pytest
 
 from groupframes.errors import BadShape, NotADivisor
 from groupframes.gf import build_field
-from groupframes.subgroups import subgroup_of_order
+from groupframes.gf import subgroup_of_order
 from oracles import (
     ZERO,
     add,
@@ -13,37 +13,39 @@ from oracles import (
     coset_values,
     elements,
     is_difference_set,
+    member_logs,
     mul,
     neg,
     parity_of_minus_one,
     sub,
+    subgroup_members,
     translation_degree,
 )
 
 
 def test_f7_quadratic_residues():
     ctx = build_field(7, 1)
-    spec = subgroup_of_order(ctx, 3)
-    assert spec.kappa == 2
-    assert sorted(spec.element_values.tolist()) == [1, 2, 4]
+    kappa, members = subgroup_of_order(ctx, 3)
+    assert kappa == 2
+    assert sorted(members.tolist()) == [1, 2, 4]
     # 7 = 3 mod 4, so the residues form a Paley difference set
-    assert is_difference_set(spec) == (True, 1)
+    assert is_difference_set(ctx, kappa) == (True, 1)
 
 
 def test_f11_paley():
     ctx = build_field(11, 1)
-    spec = subgroup_of_order(ctx, 5)
-    assert sorted(spec.element_values.tolist()) == [1, 3, 4, 5, 9]
-    assert is_difference_set(spec) == (True, 2)
+    kappa, members = subgroup_of_order(ctx, 5)
+    assert sorted(members.tolist()) == [1, 3, 4, 5, 9]
+    assert is_difference_set(ctx, kappa) == (True, 2)
 
 
 def test_subgroup_closure_and_identity():
     ctx = build_field(3, 3)
-    spec = subgroup_of_order(ctx, 13)
-    vals = set(int(v) for v in spec.element_values)
+    kappa, members = subgroup_of_order(ctx, 13)
+    vals = set(int(v) for v in members)
     assert 1 in vals
-    for a in elements(spec):
-        for b in elements(spec):
+    for a in elements(ctx, kappa):
+        for b in elements(ctx, kappa):
             assert mul(ctx, a, b) in vals
 
 
@@ -57,33 +59,34 @@ def test_subgroup_of_order_rejects_nondivisor():
 
 def test_coset_partition():
     ctx = build_field(3, 2)
-    spec = subgroup_of_order(ctx, 2)  # kappa = 4
+    kappa, _ = subgroup_of_order(ctx, 2)
+    assert kappa == 4
     seen = set()
-    for d in range(spec.kappa):
-        cv = coset_values(spec, d)
+    for d in range(kappa):
+        cv = coset_values(ctx, kappa, d)
         assert len(cv) == 2
         seen.update(int(v) for v in cv)
     assert seen == set(range(1, 9))
     with pytest.raises(BadShape):
-        coset_values(spec, 4)
+        coset_values(ctx, kappa, 4)
 
 
 def test_coset_of_matches_enumeration():
     ctx = build_field(13, 1)
-    spec = subgroup_of_order(ctx, 3)
-    for d in range(spec.kappa):
-        for v in coset_values(spec, d):
-            assert coset_of(spec, int(v)) == d
+    kappa, _ = subgroup_of_order(ctx, 3)
+    for d in range(kappa):
+        for v in coset_values(ctx, kappa, d):
+            assert coset_of(ctx, kappa, int(v)) == d
     with pytest.raises(ValueError):
-        coset_of(spec, 0)
+        coset_of(ctx, kappa, 0)
 
 
 def test_is_difference_set_against_direct_count():
     # independent census with python sets/dicts
     for p, r, m in [(7, 1, 3), (13, 1, 4), (11, 1, 5), (3, 2, 4), (19, 1, 9)]:
         ctx = build_field(p, r)
-        spec = subgroup_of_order(ctx, m)
-        els = elements(spec)
+        kappa, _ = subgroup_of_order(ctx, m)
+        els = elements(ctx, kappa)
         counts = {}
         for a in els:
             for b in els:
@@ -93,7 +96,7 @@ def test_is_difference_set_against_direct_count():
         lams = set(counts.values())
         full = len(counts) == ctx.n - 1 and len(lams) == 1
         expect = (True, lams.pop()) if full else (False, None)
-        assert is_difference_set(spec) == expect
+        assert is_difference_set(ctx, kappa) == expect
 
 
 @pytest.mark.parametrize("p,r,m", [(7, 1, 3), (11, 1, 5), (3, 3, 13),
@@ -103,25 +106,25 @@ def test_paley_kappa2_is_difference_set(p, r, m):
     # p^r = 3 mod 4 and m = (p^r - 1)/2: the classical Paley design
     ctx = build_field(p, r)
     assert ctx.n % 4 == 3
-    spec = subgroup_of_order(ctx, m)
-    assert spec.kappa == 2
-    ok, lam = is_difference_set(spec)
+    kappa, _ = subgroup_of_order(ctx, m)
+    assert kappa == 2
+    ok, lam = is_difference_set(ctx, kappa)
     assert ok
     assert lam == (ctx.n - 3) // 4
 
 
 def test_translation_degree_zero_semantics():
     ctx = build_field(7, 1)
-    spec = subgroup_of_order(ctx, 3)
-    assert translation_degree(spec, ZERO, ZERO) == 0
+    kappa, _ = subgroup_of_order(ctx, 3)
+    assert translation_degree(ctx, kappa, ZERO, ZERO) == 0
     # 0 + 1 = 1 lies in A = coset 0
-    assert translation_degree(spec, ZERO, 0) == 1
-    assert translation_degree(spec, ZERO, 1) == 0
+    assert translation_degree(ctx, kappa, ZERO, 0) == 1
+    assert translation_degree(ctx, kappa, ZERO, 1) == 0
     # -1 = 6 is in coset 1 (6 is not a QR mod 7); 6 + 1 = 0
-    assert translation_degree(spec, 1, ZERO) == 1
-    assert translation_degree(spec, 0, ZERO) == 0
+    assert translation_degree(ctx, kappa, 1, ZERO) == 1
+    assert translation_degree(ctx, kappa, 0, ZERO) == 0
     with pytest.raises(BadShape):
-        translation_degree(spec, 2, 0)
+        translation_degree(ctx, kappa, 2, 0)
 
 
 @pytest.mark.parametrize("p,r,m", [(7, 1, 3), (13, 1, 4), (3, 3, 13),
@@ -129,23 +132,24 @@ def test_translation_degree_zero_semantics():
 def test_translation_degree_row_sums(p, r, m):
     # every element of a coset lands somewhere after adding one
     ctx = build_field(p, r)
-    spec = subgroup_of_order(ctx, m)
-    targets = list(range(spec.kappa)) + [ZERO]
-    for s in range(spec.kappa):
-        assert sum(translation_degree(spec, s, t) for t in targets) == m
+    kappa, _ = subgroup_of_order(ctx, m)
+    targets = list(range(kappa)) + [ZERO]
+    for s in range(kappa):
+        assert sum(translation_degree(ctx, kappa, s, t)
+                   for t in targets) == m
 
 
 def test_translation_degree_direct_count():
     ctx = build_field(13, 1)
-    spec = subgroup_of_order(ctx, 6)
-    for s in range(spec.kappa):
-        for t in range(spec.kappa):
+    kappa, _ = subgroup_of_order(ctx, 6)
+    for s in range(kappa):
+        for t in range(kappa):
             direct = 0
-            for v in coset_values(spec, s):
+            for v in coset_values(ctx, kappa, s):
                 w = add(ctx, int(v), 1)
-                if w != 0 and coset_of(spec, w) == t:
+                if w != 0 and coset_of(ctx, kappa, w) == t:
                     direct += 1
-            assert translation_degree(spec, s, t) == direct
+            assert translation_degree(ctx, kappa, s, t) == direct
 
 
 @pytest.mark.parametrize("p,r", [(3, 2), (5, 2), (7, 1), (11, 1), (13, 1),
@@ -157,19 +161,40 @@ def test_parity_of_minus_one(p, r):
     for m in range(1, order + 1):
         if order % m:
             continue
-        spec = subgroup_of_order(ctx, m)
-        info = parity_of_minus_one(spec)
-        in_a = minus_one in set(int(v) for v in spec.element_values)
+        kappa, members = subgroup_of_order(ctx, m)
+        info = parity_of_minus_one(ctx, kappa)
+        in_a = minus_one in set(int(v) for v in members)
         assert info["in_A"] == in_a
         if not in_a:
-            assert coset_of(spec, minus_one) == info["coset"]
+            assert coset_of(ctx, kappa, minus_one) == info["coset"]
         if p != 2 and m % 2 == 1 and ctx.n % 2 == 1:
             # odd subgroup of the odd-characteristic field: -1 sits half way
             assert info["is_half_kappa"]
 
 
 def test_element_values_match_logs():
+    # every kappa-th exponent-table entry is the member gathered at its
+    # log kappa*i mod (n-1): on every subgroup of every field with
+    # n <= 1024, and on three large fields
     ctx = build_field(2, 5)
-    spec = subgroup_of_order(ctx, 31)
-    assert np.array_equal(spec.element_values,
-                          ctx.value_of_exp[spec.element_logs])
+    kappa, members = subgroup_of_order(ctx, 31)
+    assert np.array_equal(members, ctx.value_of_exp[member_logs(ctx, kappa)])
+    cases = 0
+    for n in range(2, 1025):
+        p = next(d for d in range(2, n + 1) if n % d == 0)
+        r = round(np.log(n) / np.log(p))
+        if p ** r != n:
+            continue
+        ctx = build_field(p, r)
+        for m in [d for d in range(1, n) if (n - 1) % d == 0]:
+            kappa, members = subgroup_of_order(ctx, m)
+            assert kappa * m == n - 1
+            assert members.dtype == ctx.value_of_exp.dtype
+            assert np.array_equal(members, subgroup_members(ctx, kappa))
+            cases += 1
+    assert cases == 2162
+    for p, r, m in [(2, 20, 41), (5, 8, 313), (65537, 1, 2)]:
+        ctx = build_field(p, r)
+        kappa, members = subgroup_of_order(ctx, m)
+        assert (kappa, len(members)) == ((ctx.n - 1) // m, m)
+        assert np.array_equal(members, subgroup_members(ctx, kappa))
