@@ -24,7 +24,7 @@ import shutil
 import statistics
 import sys
 import uuid
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from itertools import chain
 from operator import itemgetter
 
@@ -247,15 +247,21 @@ def _add_construction_flags(sub, with_infile: bool):
 
 def cmd_construct(args) -> int:
     frame = _build_from_args(args)
-    # Hadamard constructions are written as their +-1 rows
-    save = save_sign_csv if "sylvester_rows" in frame.provenance \
-        else save_exponent_csv
-    with _atomic(args.out) as tmp:
-        save(frame, tmp)
-    _write_text(args.out + ".provenance.json", _json_text(frame.provenance))
-    if args.exponent_out:
-        with _atomic(args.exponent_out) as tmp:
-            save_exponent_csv(frame, tmp)
+    # --exponent-out is renamed into place last, so that its text is what
+    # a path named twice (as --out or the provenance file too) ends with
+    with (_atomic(args.exponent_out) if args.exponent_out
+          else nullcontext()) as exp, _atomic(args.out) as out:
+        copies = [exp] if exp else []
+        # Hadamard constructions are written as their +-1 rows; any other
+        # frame's exponent text is formatted once for --out and the copy
+        if "sylvester_rows" in frame.provenance:
+            save_sign_csv(frame, out)
+            if copies:
+                save_exponent_csv(frame, *copies)
+        else:
+            save_exponent_csv(frame, out, *copies)
+        _write_text(args.out + ".provenance.json",
+                    _json_text(frame.provenance))
     if args.complex_out:
         cf = materialize(frame, normalize=not args.no_normalize)
         with _atomic(args.complex_out) as tmp:
@@ -347,10 +353,13 @@ def _compare_row(label: str, group, bound_kind: str, per_seed: list) -> dict:
 def _field_row(label: str, build, build_random, params: tuple, seeds,
                bernoulli: bool) -> dict:
     # build(*params) is the group frame, build_random(*params, seed) a
-    # baseline with the same shape
-    group = analyze(build(*params), brute="off")
+    # baseline with the same shape over the group frame's field; the
+    # baselines share that field, and the frame's cells are let go
+    frame = build(*params)
+    ctx, group = frame.ctx, analyze(frame, brute="off")
+    del frame
     per_seed = [
-        analyze(build_random(*params, s, bernoulli=bernoulli),
+        analyze(build_random(*params, s, ctx=ctx, bernoulli=bernoulli),
                 brute="off").mu
         for s in seeds]
     return _compare_row(label, group, "bound_general", per_seed)

@@ -8,13 +8,14 @@ multipliers to be the order-m subgroup of the unit group gives the group
 frames; choosing them at random gives the seeded baselines.  Entries are
 stored as exponents of w, whatever the construction, and materialized to
 complex on demand; the +-1 rows of a Hadamard construction (p = 2) are
-w**exps = 1 - 2 exps, formed only when a sign CSV is written.
+w**exps = 1 - 2 exps, whose text a sign CSV writes from the exponents.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -276,8 +277,58 @@ def _write_rows(fh, rows: np.ndarray, cell: str) -> None:
         fh.write(line % tuple(row.tolist()))
 
 
-def save_exponent_csv(frame: ExponentFrame, path: str) -> None:
-    """CSV of integer exponents with a JSON header line (leading '#')."""
+# cells encoded per chunk of _write_cells: a chunk may end inside a row,
+# and its temporaries stay under 4 MiB (8 + 3 w bytes a cell, w <= 16)
+_ENCODE_CHUNK = 2 ** 16
+
+# the sign CSV's words, indexed by exponent: w**0 = 1 and w**1 = -1
+_SIGN_WORDS = np.frombuffer(b"\0\0" b"1," b"\0-1,", dtype="V4")
+
+
+def _digit_words(p: int) -> np.ndarray:
+    """Word k is the %d text of k and a comma, right-aligned in NUL bytes,
+    for k in [0, p): one void scalar per k, all of a power-of-two width."""
+    digits = len(str(p - 1))
+    width = 1 << digits.bit_length()
+    words = np.zeros((p, width), dtype=np.uint8)
+    words[:, -1] = ord(",")
+    values = np.arange(p, dtype=np.min_scalar_type(p - 1))
+    for i in range(digits):
+        # a value below 10**i has no digit i: its byte stays NUL
+        low = 10 ** i if i else 0
+        words[low:, width - 2 - i] = values[low:] // 10 ** i % 10 + ord("0")
+    return words.view(f"V{width}").ravel()
+
+
+def _write_cells(fhs, cells: np.ndarray, words: np.ndarray) -> None:
+    """Write the integer matrix cells as CSV text to each binary file in
+    fhs, row after row; words[x] is the text of a cell x and a comma,
+    right-aligned in a word of NUL bytes (_digit_words, _SIGN_WORDS).
+
+    The text is the same as formatting each cell with %d, joining a row
+    with commas and ending it with a newline.  It is encoded once, a flat
+    chunk of cells at a time: one gather of words per cell, a newline for
+    the comma that ends a row, and the NUL padding dropped when the words'
+    texts differ in length.
+    """
+    n = cells.shape[1]
+    flat = cells.reshape(-1)
+    width = words.dtype.itemsize
+    padded = not words.view(np.uint8)[::width].all()
+    for start in range(0, flat.size, _ENCODE_CHUNK):
+        text = np.take(words, flat[start:start + _ENCODE_CHUNK]).view(
+            np.uint8)
+        ends = np.arange((n - 1 - start) % n, len(text) // width, n)
+        text[ends * width + width - 1] = ord("\n")
+        if padded:
+            text = text[text != 0]
+        for fh in fhs:
+            fh.write(text)
+
+
+def save_exponent_csv(frame: ExponentFrame, path: str, *copies: str) -> None:
+    """CSV of integer exponents with a JSON header line (leading '#'),
+    written to path and to each of copies; the text is formatted once."""
     header = {
         "format": "exponent-frame/1",
         "p": frame.p,
@@ -291,9 +342,12 @@ def save_exponent_csv(frame: ExponentFrame, path: str) -> None:
             header[key] = frame.provenance[key]
     if frame.multiplier_values is not None:
         header["multiplier_values"] = [int(v) for v in frame.multiplier_values]
-    with open(path, "w", newline="\n") as fh:
-        fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
-        _write_rows(fh, frame.exps, "%d")
+    line = ("# " + json.dumps(header, sort_keys=True) + "\n").encode("ascii")
+    with ExitStack() as stack:
+        fhs = [stack.enter_context(open(p, "wb")) for p in (path, *copies)]
+        for fh in fhs:
+            fh.write(line)
+        _write_cells(fhs, frame.exps, _digit_words(frame.p))
 
 
 def save_sign_csv(frame: ExponentFrame, path: str) -> None:
@@ -301,8 +355,8 @@ def save_sign_csv(frame: ExponentFrame, path: str) -> None:
     per line."""
     if frame.p != 2:
         raise BadShape(f"sign CSV needs p = 2, got p = {frame.p}")
-    with open(path, "w", newline="\n") as fh:
-        _write_rows(fh, 1 - 2 * frame.exps.astype(np.int64), "%d")
+    with open(path, "wb") as fh:
+        _write_cells([fh], frame.exps, _SIGN_WORDS)
 
 
 def save_complex_csv(cf: ComplexFrame, path: str) -> None:

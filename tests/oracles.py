@@ -13,7 +13,8 @@ from their logs, the SL2 class sums from the transform of the subgroup
 as a list, the Sylvester row labels bit by bit, and the census
 clustering by full re-sorts of every group on every pass.  The dense
 kernels are checked against the full-matrix products the package once
-used, and cli._divisors against trial division.
+used, cli._divisors against trial division, and the CSV byte kernel
+against the per-row %d writer.
 """
 
 import math
@@ -311,6 +312,14 @@ def histogram_csv_np(magnitudes, bins):
     for i, c in enumerate(counts):
         lines.append(f"{edges[i]:.17g},{edges[i + 1]:.17g},{int(c)}")
     return "\n".join(lines) + "\n"
+
+
+def csv_rows_per_row(rows):
+    """Oracle for frames._write_cells: the CSV text of an integer matrix
+    from one %d template per row, the writer the package used before its
+    byte kernel."""
+    line = ",".join(["%d"] * rows.shape[1]) + "\n"
+    return "".join(line % tuple(row.tolist()) for row in rows).encode()
 
 
 # ---------------------------------------------------------------------------

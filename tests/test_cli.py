@@ -5,11 +5,13 @@ import dataclasses
 import io
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
 
 import groupframes.cli as cli
+import groupframes.frames as frames
 from groupframes.cli import BINS_CAP, BOUNDS_ROW_CAP, main
 from groupframes.coherence import CoherenceReport, analyze
 from groupframes.frames import (
@@ -60,11 +62,11 @@ def outputs_match_their_oracles(monkeypatch):
 def reports():
     """Reports of every SL2 case and of frames on each census route."""
     out = [sl2_report(q, m, mode) for q, m, mode in sl2_cases()]
-    frames = [build_field_frame(3, 5, 121), build_harmonic_frame(257, 16),
-              build_random_hadamard_frame(10, 341, 1),
-              build_random_exponent_frame(3, 7, 300, 2),
-              build_random_exponent_frame(257, 2, 100, 1)]
-    out += [analyze(f, brute="off") for f in frames]
+    built = [build_field_frame(3, 5, 121), build_harmonic_frame(257, 16),
+             build_random_hadamard_frame(10, 341, 1),
+             build_random_exponent_frame(3, 7, 300, 2),
+             build_random_exponent_frame(257, 2, 100, 1)]
+    out += [analyze(f, brute="off") for f in built]
     out.append(analyze(materialize(build_random_exponent_frame(3, 4, 20,
                                                                3))))
     return out
@@ -114,6 +116,69 @@ def test_construct_harmonic_p2_writes_exponents(tmp_path):
     frame = load_frame(out)
     assert frame.exps.tolist() == [[0, 1]]
     assert frame.kappa == 1
+
+
+def count_encodes(monkeypatch):
+    """A list that gets one entry per frames._write_cells call."""
+    calls, write_cells = [], frames._write_cells
+
+    def counted(fhs, cells, words):
+        calls.append(len(fhs))
+        write_cells(fhs, cells, words)
+
+    monkeypatch.setattr(frames, "_write_cells", counted)
+    return calls
+
+
+def test_construct_formats_exponent_text_once(tmp_path, monkeypatch):
+    # --out and --exponent-out of a frame that is not Hadamard get the same
+    # exponent CSV, encoded once and written to both
+    a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    calls = count_encodes(monkeypatch)
+    assert main(["construct", "--field", "3", "3", "--m", "13",
+                 "--out", a, "--exponent-out", b]) == 0
+    assert calls == [2]
+    assert read(a) == read(b)
+    assert load_frame(b).exps.shape == (13, 27)
+
+
+def test_construct_exponent_copy_through_symlink_and_pipe(tmp_path):
+    # --out written through a symlink or a named pipe is never read back:
+    # --exponent-out still gets the full text
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("")
+    link.symlink_to(target)
+    b = str(tmp_path / "b.csv")
+    assert main(["construct", "--field", "3", "3", "--m", "13",
+                 "--out", str(link), "--exponent-out", b]) == 0
+    assert link.is_symlink() and read(str(target)) == read(b)
+    assert load_frame(b).exps.shape == (13, 27)
+    fifo, piped = str(tmp_path / "pipe"), []
+    os.mkfifo(fifo)
+    reader = threading.Thread(target=lambda: piped.append(read(fifo)),
+                              daemon=True)
+    reader.start()
+    try:
+        assert main(["construct", "--field", "3", "3", "--m", "13",
+                     "--out", fifo, "--exponent-out", b]) == 0
+    finally:
+        reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert piped == [read(b)] and read(b) == read(str(target))
+
+
+def test_construct_hadamard_writes_sign_and_exponent_files(tmp_path,
+                                                           monkeypatch):
+    a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    calls = count_encodes(monkeypatch)
+    assert main(["construct", "--field", "2", "4", "--m", "5",
+                 "--out", a, "--exponent-out", b]) == 0
+    assert calls == [1, 1]
+    signs = np.loadtxt(a, delimiter=",", dtype=np.int64, ndmin=2)
+    assert not read(a).startswith(b"#")
+    exps = load_frame(b).exps
+    assert exps.shape == (5, 16)
+    assert np.array_equal(signs, 1 - 2 * exps)
 
 
 def test_construct_random_requires_seed(tmp_path, capsys):
@@ -571,6 +636,9 @@ UNWRITABLE = {
                   "--report", "{ok}", "--histogram", "{bad}"],
     "construct-out": ["construct", "--field", "3", "3", "--m", "13",
                       "--out", "{bad}"],
+    "construct-exponent-out": ["construct", "--field", "3", "3", "--m",
+                               "13", "--out", "{ok}", "--exponent-out",
+                               "{bad}"],
     "compare-out-csv": ["compare", "--table", "IV", "--out-csv", "{bad}"],
     "bounds-out": ["bounds", "--kappa", "3", "--n-min", "4",
                    "--n-max", "40", "--out", "{bad}"],

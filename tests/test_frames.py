@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from groupframes import frames
 from groupframes.coherence import inner_product_exact
 from groupframes.errors import (
     BadShape,
@@ -32,7 +33,7 @@ from groupframes.frames import (
     save_sign_csv,
 )
 from groupframes.gf import build_field, is_prime, subgroup_of_order
-from oracles import mul, sylvester_row_labels, trace
+from oracles import csv_rows_per_row, mul, sylvester_row_labels, trace
 
 
 def modulo_gather_rows(ctx, multiplier_values):
@@ -245,6 +246,93 @@ def test_csv_writers_match_per_cell_oracle(tmp_path):
     save_complex_csv(cf, path)
     with open(path, "rb") as fh:
         assert fh.read() == per_cell_csv(entries, complex_cells)
+
+
+def csv_bytes(path):
+    """(header line or b"", body) of a frame CSV."""
+    with open(path, "rb") as fh:
+        text = fh.read()
+    if not text.startswith(b"#"):
+        return b"", text
+    header, body = text.split(b"\n", 1)
+    return header + b"\n", body
+
+
+def assert_writers_match_per_row_oracle(frame, tmp_path):
+    # the exponent CSV, its copy and, for p = 2, the sign CSV: the same
+    # text as one %d template per row, behind the same JSON header
+    a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    save_exponent_csv(frame, a, b)
+    header, body = csv_bytes(a)
+    assert json.loads(header[1:])["m_rows"] == frame.m_rows
+    assert body == csv_rows_per_row(frame.exps), (frame.p, frame.exps.shape)
+    assert csv_bytes(b) == (header, body)
+    if frame.p == 2:
+        save_sign_csv(frame, a)
+        assert csv_bytes(a) == (b"", csv_rows_per_row(
+            1 - 2 * frame.exps.astype(np.int64)))
+
+
+def oracle_frames():
+    """Frames with 1-, 2-, 3- and 5-digit exponents, an all-zero row
+    (the zero multiplier, drawn when m = n), and m = 1."""
+    return [build_hadamard_frame(6, 9),
+            build_field_frame(3, 3, 13),
+            build_field_frame(5, 2, 8),
+            build_field_frame(7, 2, 16),
+            build_field_frame(11, 2, 24),
+            build_harmonic_frame(13, 4),
+            build_harmonic_frame(101, 20),
+            build_harmonic_frame(65537, 2),
+            build_random_exponent_frame(3, 2, 9, seed=1),
+            build_random_hadamard_frame(4, 16, seed=3),
+            build_field_frame(3, 3, 1),
+            build_hadamard_frame(5, 1)]
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 4099, None])
+def test_csv_writers_match_per_row_oracle(chunk, tmp_path, monkeypatch):
+    # encode chunks of 1, 5 and 4099 cells end inside rows, and rows of
+    # n = 65537 span several chunks of the default size
+    if chunk is not None:
+        monkeypatch.setattr(frames, "_ENCODE_CHUNK", chunk)
+    cases = oracle_frames()
+    assert {len(str(f.p - 1)) for f in cases} == {1, 2, 3, 5}
+    assert any((~f.exps.any(axis=1)).any() for f in cases)
+    assert min(f.m_rows for f in cases) == 1
+    for frame in cases:
+        assert_writers_match_per_row_oracle(frame, tmp_path)
+
+
+def test_reloaded_frames_written_again_unchanged(tmp_path):
+    # a reloaded exponent frame holds int64 cells, a bare sign CSV comes
+    # back as a p = 2 frame without a field: each writes the same file
+    path, again = str(tmp_path / "f.csv"), str(tmp_path / "g.csv")
+    for frame in (build_harmonic_frame(101, 20),
+                  build_random_exponent_frame(3, 2, 9, seed=1)):
+        save_exponent_csv(frame, path)
+        g = load_frame(path)
+        assert g.exps.dtype == np.int64
+        save_exponent_csv(g, again)
+        assert csv_bytes(again) == csv_bytes(path)
+        assert_writers_match_per_row_oracle(g, tmp_path)
+    save_sign_csv(build_hadamard_frame(6, 9), path)
+    g = load_frame(path)
+    assert g.ctx is None
+    save_sign_csv(g, again)
+    assert csv_bytes(again) == csv_bytes(path)
+    assert_writers_match_per_row_oracle(g, tmp_path)
+
+
+def test_csv_writers_across_encode_chunks(tmp_path):
+    # frames of more than one default encode chunk: GF(3^7) with seams
+    # inside rows (n = 2187), the 5.6 M sign cells of GF(2^12), m = 1365
+    odd = build_field_frame(3, 7, 1093)
+    assert odd.exps.size > frames._ENCODE_CHUNK
+    assert frames._ENCODE_CHUNK % odd.n_cols != 0
+    assert_writers_match_per_row_oracle(odd, tmp_path)
+    assert_writers_match_per_row_oracle(build_hadamard_frame(12, 1365),
+                                        tmp_path)
 
 
 def test_random_frames_reproducible():
