@@ -40,15 +40,16 @@ from .errors import (
     ValidationError,
 )
 from .frames import (
+    COMPLEX_CELL_CAP,
     RNG_NAME,
     ComplexFrame,
+    _check_cells,
     build_field_frame,
     build_hadamard_frame,
     build_harmonic_frame,
     build_random_exponent_frame,
     build_random_hadamard_frame,
     load_frame,
-    materialize,
     save_complex_csv,
     save_exponent_csv,
     save_sign_csv,
@@ -247,6 +248,8 @@ def _add_construction_flags(sub, with_infile: bool):
 
 def cmd_construct(args) -> int:
     frame = _build_from_args(args)
+    if args.complex_out:  # refused before any file is written
+        _check_cells(frame.m_rows, frame.n_cols, COMPLEX_CELL_CAP)
     # --exponent-out is renamed into place last, so that its text is what
     # a path named twice (as --out or the provenance file too) ends with
     with (_atomic(args.exponent_out) if args.exponent_out
@@ -263,9 +266,8 @@ def cmd_construct(args) -> int:
         _write_text(args.out + ".provenance.json",
                     _json_text(frame.provenance))
     if args.complex_out:
-        cf = materialize(frame, normalize=not args.no_normalize)
         with _atomic(args.complex_out) as tmp:
-            save_complex_csv(cf, tmp)
+            save_complex_csv(frame, tmp, normalize=not args.no_normalize)
     sys.stdout.write(args.out + "\n")
     return 0
 
@@ -330,7 +332,7 @@ def _gaussian_mu(dim: int, n: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
     mat = rng.standard_normal((dim, n)) + 1j * rng.standard_normal((dim, n))
     mat = mat / np.linalg.norm(mat, axis=0, keepdims=True)
-    frame = ComplexFrame(entries=mat, normalized=True, provenance={})
+    frame = ComplexFrame(entries=mat, normalized=True)
     return coherence_bruteforce(frame, census=False)["mu"]
 
 
@@ -503,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     con.add_argument("--exponent-out", default=None,
                      help="also write the reloadable exponent CSV")
     con.add_argument("--complex-out", default=None,
-                     help="also write the materialized complex matrix")
+                     help="also write the complex entries as re,im columns")
     con.add_argument("--no-normalize", action="store_true",
                      help="skip unit-norm column scaling in --complex-out")
     con.set_defaults(func=cmd_construct)

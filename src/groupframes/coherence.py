@@ -520,34 +520,33 @@ def _judge_gap(paths: dict, key: str, fast: float, dense: float) -> None:
 
 def analyze(frame, brute: str = "auto",
             log_base: float | None = None) -> CoherenceReport:
-    """Analyze an exponent frame or a materialized frame.
+    """Analyze an exponent frame; a ComplexFrame is refused.
 
     brute is the verification level.  When the frame carries its
-    multiplier structure (an ExponentFrame with multiplier_values),
-    mu, nu and the census come from the n-1 character sums, and with
-    brute="off" nothing else runs: no matrix is materialized, and the
-    tightness residual is the exact value that character orthogonality
-    gives, 0 for distinct multipliers and n/m when one repeats.  "auto"
-    and "on" add the dense checks on the normalized matrix (nu, the
-    tightness residual, and up to BRUTE_CAP columns the O(n^2 m) Gram
-    oracle for mu; "on" is an error above that cap), and their values are
-    the ones reported.  Frames without multiplier structure need the Gram
-    oracle, so where it cannot run they are refused before any dense
-    work.  Where both routes ran, the gaps are recorded under paths, and a
-    gap above ROUTE_TOL raises InvariantViolation.
+    multiplier structure (multiplier_values is set), mu, nu and the
+    census come from the n-1 character sums, and with brute="off"
+    nothing else runs: no matrix is materialized, and the tightness
+    residual is the exact value that character orthogonality gives, 0
+    for distinct multipliers and n/m when one repeats.  "auto" and "on"
+    add the dense checks on the normalized matrix (nu, the tightness
+    residual, and up to BRUTE_CAP columns the O(n^2 m) Gram oracle for
+    mu; "on" is an error above that cap), and their values are the ones
+    reported.  Frames without multiplier structure (a bare sign CSV, or
+    an exponent CSV without multipliers) need the Gram oracle, so where
+    it cannot run they are refused before any dense work.  Where both
+    routes ran, the gaps are recorded under paths, and a gap above
+    ROUTE_TOL raises InvariantViolation.
     """
     if brute not in ("on", "off", "auto"):
         raise BadShape(f"brute must be on/off/auto, got {brute!r}")
-    if not isinstance(frame, (ExponentFrame, ComplexFrame)):
+    if not isinstance(frame, ExponentFrame):
         raise BadShape(f"cannot analyze {type(frame).__name__}")
     m_rows, n_cols = frame.m_rows, frame.n_cols
     if n_cols < 2:
         raise BadShape("need at least two columns to measure coherence")
 
-    structured = isinstance(frame, ExponentFrame) \
-        and frame.multiplier_values is not None
-    cf = frame if isinstance(frame, ComplexFrame) else None
-    fits = cf is not None or m_rows * n_cols <= COMPLEX_CELL_CAP
+    structured = frame.multiplier_values is not None
+    fits = m_rows * n_cols <= COMPLEX_CELL_CAP
     if brute == "on" and n_cols > BRUTE_CAP:
         raise ResourceCap(f"brute force requested for n = {n_cols} "
                           f"> {BRUTE_CAP}")
@@ -585,8 +584,7 @@ def analyze(frame, brute: str = "auto",
         distinct = len(np.unique(frame.multiplier_values)) == m_rows
         tightness = 0.0 if distinct else n_cols / m_rows
 
-    if cf is None and brute != "off" and fits:
-        cf = materialize(frame, normalize=True)
+    cf = materialize(frame) if brute != "off" and fits else None
     nu = fast_nu
     if cf is not None:
         nu = average_coherence(cf)

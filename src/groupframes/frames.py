@@ -7,8 +7,8 @@ multipliers a, with w the primitive p-th root of unity.  Choosing the
 multipliers to be the order-m subgroup of the unit group gives the group
 frames; choosing them at random gives the seeded baselines.  Entries are
 stored as exponents of w, whatever the construction, and materialized to
-complex on demand; the +-1 rows of a Hadamard construction (p = 2) are
-w**exps = 1 - 2 exps, whose text a sign CSV writes from the exponents.
+complex only for the dense checks: every CSV, the complex one too, is
+written from the exponents (a Hadamard sign row is w**exps = 1 - 2 exps).
 """
 
 from __future__ import annotations
@@ -61,19 +61,10 @@ class ExponentFrame:
 
 @dataclass
 class ComplexFrame:
-    """Materialized frame; columns have unit norm when normalized."""
+    """The dense kernels' matrix; columns have unit norm when normalized."""
 
     entries: np.ndarray = field(repr=False)
     normalized: bool
-    provenance: dict
-
-    @property
-    def m_rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.entries.shape[1]
 
 
 def roots_of_unity(p: int) -> np.ndarray:
@@ -248,37 +239,27 @@ def build_random_hadamard_frame(r: int, m: int, seed: int,
         "random-hadamard-rows")
 
 
-def materialize(frame: ExponentFrame, normalize: bool = True) -> ComplexFrame:
-    """Turn an exponent frame into complex entries, scaling columns to unit
-    norm when normalize is set."""
+def _entry_values(frame: ExponentFrame, normalize: bool = True):
+    # w**k for each exponent k, over sqrt(m) when normalized: the same
+    # division per entry as scaling the gathered matrix
+    roots = roots_of_unity(frame.p)
+    return roots / np.sqrt(frame.m_rows) if normalize else roots
+
+
+def materialize(frame: ExponentFrame) -> ComplexFrame:
+    """Turn an exponent frame into complex entries with unit-norm columns."""
     if not isinstance(frame, ExponentFrame):
         raise BadShape(f"cannot materialize {type(frame).__name__}")
     _check_cells(frame.m_rows, frame.n_cols, COMPLEX_CELL_CAP)
-    roots = roots_of_unity(frame.p)
-    if normalize:
-        # the same division per entry as scaling the gathered matrix
-        roots = roots / np.sqrt(frame.m_rows)
-    entries = roots[frame.exps]
-    prov = dict(frame.provenance)
-    prov["normalized"] = normalize
-    return ComplexFrame(entries=entries, normalized=normalize,
-                        provenance=prov)
+    return ComplexFrame(_entry_values(frame)[frame.exps], normalized=True)
 
 
 # ---------------------------------------------------------------------------
 # file formats
 # ---------------------------------------------------------------------------
 
-def _write_rows(fh, rows: np.ndarray, cell: str) -> None:
-    # one C-level %-format per row, the same text as formatting each cell
-    # with cell % x and joining with commas
-    line = ",".join([cell] * rows.shape[1]) + "\n"
-    for row in rows:
-        fh.write(line % tuple(row.tolist()))
-
-
 # cells encoded per chunk of _write_cells: a chunk may end inside a row,
-# and its temporaries stay under 4 MiB (8 + 3 w bytes a cell, w <= 16)
+# and its temporaries stay under 13 MiB (8 + 3 w bytes a cell, w <= 64)
 _ENCODE_CHUNK = 2 ** 16
 
 # the sign CSV's words, indexed by exponent: w**0 = 1 and w**1 = -1
@@ -300,16 +281,32 @@ def _digit_words(p: int) -> np.ndarray:
     return words.view(f"V{width}").ravel()
 
 
+def _complex_words(values: np.ndarray) -> np.ndarray:
+    """Word k is the %.17g text of the real and of the imaginary part of
+    values[k], each with a comma (at most 2 x 25 bytes), right-aligned in
+    NUL bytes to the power-of-two width of the longest word; formatted a
+    block at a time, so that the table is the only large array."""
+    words = np.zeros((len(values), 64), dtype=np.uint8)
+    for start in range(0, len(values), _ENCODE_CHUNK):
+        block = values[start:start + _ENCODE_CHUNK].tolist()
+        words[start:start + len(block)] = np.frombuffer(b"".join(
+            [(b"%.17g,%.17g," % (z.real, z.imag)).rjust(64, b"\0")
+             for z in block]), dtype=np.uint8).reshape(-1, 64)
+    # the longest word starts at the first column that is not all NUL
+    width = 1 << (63 - int(words.any(axis=0).argmax())).bit_length()
+    return words[:, 64 - width:].copy().view(f"V{width}").ravel()
+
+
 def _write_cells(fhs, cells: np.ndarray, words: np.ndarray) -> None:
     """Write the integer matrix cells as CSV text to each binary file in
     fhs, row after row; words[x] is the text of a cell x and a comma,
-    right-aligned in a word of NUL bytes (_digit_words, _SIGN_WORDS).
+    right-aligned in NUL bytes (_digit_words, _SIGN_WORDS, _complex_words).
 
-    The text is the same as formatting each cell with %d, joining a row
-    with commas and ending it with a newline.  It is encoded once, a flat
-    chunk of cells at a time: one gather of words per cell, a newline for
-    the comma that ends a row, and the NUL padding dropped when the words'
-    texts differ in length.
+    The text is the same as formatting each cell on its own, joining a
+    row with commas and ending it with a newline.  It is encoded once, a
+    flat chunk of cells at a time: one gather of words per cell, a
+    newline for the comma that ends a row, and the NUL padding dropped
+    when the words' texts differ in length.
     """
     n = cells.shape[1]
     flat = cells.reshape(-1)
@@ -359,12 +356,14 @@ def save_sign_csv(frame: ExponentFrame, path: str) -> None:
         _write_cells([fh], frame.exps, _SIGN_WORDS)
 
 
-def save_complex_csv(cf: ComplexFrame, path: str) -> None:
-    """CSV with alternating re,im columns at 17 significant digits."""
-    # a C-contiguous complex128 matrix viewed as float64 interleaves re, im
-    cells = np.ascontiguousarray(cf.entries, dtype=np.complex128)
-    with open(path, "w", newline="\n") as fh:
-        _write_rows(fh, cells.view(np.float64), "%.17g")
+def save_complex_csv(frame: ExponentFrame, path: str,
+                     normalize: bool = True) -> None:
+    """CSV of the entries w**exps, over sqrt(m) when normalized, as
+    alternating re,im columns at 17 significant digits."""
+    _check_cells(frame.m_rows, frame.n_cols, COMPLEX_CELL_CAP)
+    with open(path, "wb") as fh:
+        _write_cells([fh], frame.exps,
+                     _complex_words(_entry_values(frame, normalize)))
 
 
 def _check_stored_rows(stored: np.ndarray, expected: np.ndarray) -> None:

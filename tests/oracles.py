@@ -14,7 +14,7 @@ as a list, the Sylvester row labels bit by bit, and the census
 clustering by full re-sorts of every group on every pass.  The dense
 kernels are checked against the full-matrix products the package once
 used, cli._divisors against trial division, and the CSV byte kernel
-against the per-row %d writer.
+against the per-row %d and %.17g writers.
 """
 
 import math
@@ -320,6 +320,20 @@ def csv_rows_per_row(rows):
     byte kernel."""
     line = ",".join(["%d"] * rows.shape[1]) + "\n"
     return "".join(line % tuple(row.tolist()) for row in rows).encode()
+
+
+def complex_csv_per_row(frame, normalize):
+    """Oracle for frames.save_complex_csv: the entries w**exps, over
+    sqrt(m) when normalized, as alternating re,im cells from one %.17g
+    template per row, the writer the package used before its byte
+    kernel."""
+    entries = roots_of_unity(frame.p)[frame.exps]
+    if normalize:
+        entries = entries / np.sqrt(frame.m_rows)
+    # a C-contiguous complex128 matrix viewed as float64 interleaves re, im
+    cells = np.ascontiguousarray(entries).view(np.float64)
+    line = ",".join(["%.17g"] * cells.shape[1]) + "\n"
+    return "".join(line % tuple(row.tolist()) for row in cells).encode()
 
 
 # ---------------------------------------------------------------------------

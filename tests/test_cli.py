@@ -15,12 +15,12 @@ import groupframes.frames as frames
 from groupframes.cli import BINS_CAP, BOUNDS_ROW_CAP, main
 from groupframes.coherence import CoherenceReport, analyze
 from groupframes.frames import (
+    ExponentFrame,
     build_field_frame,
     build_harmonic_frame,
     build_random_exponent_frame,
     build_random_hadamard_frame,
     load_frame,
-    materialize,
 )
 from groupframes.gf import is_prime
 from groupframes.sl2 import sl2_report
@@ -67,8 +67,10 @@ def reports():
              build_random_exponent_frame(3, 7, 300, 2),
              build_random_exponent_frame(257, 2, 100, 1)]
     out += [analyze(f, brute="off") for f in built]
-    out.append(analyze(materialize(build_random_exponent_frame(3, 4, 20,
-                                                               3))))
+    # without its multipliers a frame takes the Gram census
+    f = build_random_exponent_frame(3, 4, 20, 3)
+    out.append(analyze(ExponentFrame(p=f.p, exps=f.exps,
+                                     provenance=f.provenance)))
     return out
 
 
@@ -572,6 +574,22 @@ def test_size_caps_refuse_before_work(tmp_path, monkeypatch, capsys):
         assert len(err) == 1
         assert json.loads(err[0])["error"] == "ResourceCap"
     assert not os.path.exists(hist)
+
+
+def test_construct_refuses_complex_cap_before_writing(tmp_path,
+                                                     monkeypatch, capsys):
+    # a frame past the complex CSV's cell cap is refused before --out,
+    # its provenance file or --exponent-out is written
+    monkeypatch.setattr(cli, "COMPLEX_CELL_CAP", 13 * 27 - 1)
+    monkeypatch.setattr(frames, "COMPLEX_CELL_CAP", 13 * 27 - 1)
+    out = str(tmp_path / "f.csv")
+    assert main(["construct", "--field", "3", "3", "--m", "13", "--out",
+                 out, "--exponent-out", str(tmp_path / "e.csv"),
+                 "--complex-out", str(tmp_path / "c.csv")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "ResourceCap"
+    assert os.listdir(str(tmp_path)) == []
 
 
 def test_size_caps_admit_their_limit(tmp_path):

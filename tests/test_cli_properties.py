@@ -24,7 +24,6 @@ from groupframes.frames import (
     build_field_frame,
     build_hadamard_frame,
     build_random_exponent_frame,
-    materialize,
     save_complex_csv,
     save_exponent_csv,
     save_sign_csv,
@@ -165,7 +164,7 @@ def frame_files(tmp_path_factory):
                    build_random_exponent_frame(3, 2, 4, seed=1)),
         "hadamard": (save_exponent_csv, build_hadamard_frame(3, 7)),
         "sign": (save_sign_csv, build_hadamard_frame(3, 7)),
-        "complex": (save_complex_csv, materialize(build_field_frame(3, 1, 2))),
+        "complex": (save_complex_csv, build_field_frame(3, 1, 2)),
     }
     texts = {}
     for name, (save, frame) in writers.items():

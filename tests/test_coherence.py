@@ -316,22 +316,22 @@ def test_coherence_fast_equals_bruteforce_small():
 
 def test_bruteforce_orthonormal_and_duplicates():
     eye = ComplexFrame(entries=np.eye(4, dtype=np.complex128),
-                       normalized=True, provenance={})
+                       normalized=True)
     res = coherence_bruteforce(eye)
     assert res["mu"] == 0.0
     assert average_coherence(eye) == 0.0
     dup = ComplexFrame(entries=np.ones((3, 2), dtype=np.complex128)
-                       / np.sqrt(3), normalized=True, provenance={})
+                       / np.sqrt(3), normalized=True)
     assert abs(coherence_bruteforce(dup)["mu"] - 1.0) < 1e-12
 
 
 def test_bruteforce_guards():
     raw = ComplexFrame(entries=np.ones((2, 2), dtype=np.complex128),
-                       normalized=False, provenance={})
+                       normalized=False)
     with pytest.raises(NotNormalized):
         coherence_bruteforce(raw)
     one = ComplexFrame(entries=np.ones((2, 1), dtype=np.complex128)
-                       / np.sqrt(2), normalized=True, provenance={})
+                       / np.sqrt(2), normalized=True)
     with pytest.raises(BadShape):
         coherence_bruteforce(one)
 
@@ -340,7 +340,7 @@ def test_tightness_residual():
     cf = materialize(build_field_frame(3, 3, 13))
     assert tightness_residual(cf) < 1e-12
     flat = ComplexFrame(entries=np.ones((2, 4), dtype=np.complex128)
-                        / np.sqrt(2), normalized=True, provenance={})
+                        / np.sqrt(2), normalized=True)
     assert tightness_residual(flat) > 1.0
 
 
@@ -348,7 +348,7 @@ def _unit_columns(m, n, seed):
     rng = np.random.default_rng(seed)
     mat = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
     return ComplexFrame(entries=mat / np.linalg.norm(mat, axis=0),
-                        normalized=True, provenance={})
+                        normalized=True)
 
 
 def test_blocked_dense_kernels_match_full_gram_oracles():
@@ -463,7 +463,10 @@ def test_analyze_skips_gram_census_when_sums_give_it(monkeypatch):
     assert "mu_bruteforce" in rep.paths
     assert max(sizes) == rep.kappa == 2
     sizes.clear()
-    rep = analyze(materialize(frame), brute="on")
+    # the same cells without their multipliers take the Gram route
+    bare = ExponentFrame(p=frame.p, exps=frame.exps,
+                         provenance=frame.provenance)
+    rep = analyze(bare, brute="on")
     assert rep.paths["census_source"] == "gram"
     assert max(sizes) == 27 * 26
 
@@ -687,10 +690,13 @@ def test_bound_m_odd_reported_only_where_valid():
 
 
 def test_analyze_off_refuses_unstructured_before_dense_work(monkeypatch):
-    # a sign frame without field context and a materialized frame carry
-    # no multiplier structure: "off" refuses them before any dense work
+    # a sign frame without field context and an odd-p frame without its
+    # multipliers carry no multiplier structure: "off" refuses them
+    # before any dense work; a ComplexFrame is refused at every level
     field_frame = build_hadamard_frame(4, 5)
     sign_frame = ExponentFrame(p=2, exps=field_frame.exps, provenance={})
+    bare_frame = ExponentFrame(p=3, exps=build_field_frame(3, 3, 13).exps,
+                               provenance={})
     complex_frame = materialize(field_frame)
 
     def dense(*args, **kwargs):
@@ -699,6 +705,9 @@ def test_analyze_off_refuses_unstructured_before_dense_work(monkeypatch):
     for name in ("materialize", "average_coherence", "tightness_residual",
                  "coherence_bruteforce"):
         monkeypatch.setattr(coherence, name, dense)
-    for frame in (sign_frame, complex_frame):
+    for frame in (sign_frame, bare_frame):
         with pytest.raises(BadShape, match="no analysis path"):
             analyze(frame, brute="off")
+    for brute in ("off", "auto", "on"):
+        with pytest.raises(BadShape, match="cannot analyze ComplexFrame"):
+            analyze(complex_frame, brute=brute)

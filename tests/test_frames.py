@@ -15,7 +15,6 @@ from groupframes.errors import (
     TooManyRows,
 )
 from groupframes.frames import (
-    ComplexFrame,
     ExponentFrame,
     _draw_multipliers,
     _exponent_rows,
@@ -33,7 +32,13 @@ from groupframes.frames import (
     save_sign_csv,
 )
 from groupframes.gf import build_field, is_prime, subgroup_of_order
-from oracles import csv_rows_per_row, mul, sylvester_row_labels, trace
+from oracles import (
+    complex_csv_per_row,
+    csv_rows_per_row,
+    mul,
+    sylvester_row_labels,
+    trace,
+)
 
 
 def modulo_gather_rows(ctx, multiplier_values):
@@ -232,20 +237,11 @@ def test_csv_writers_match_per_cell_oracle(tmp_path):
                 assert fh.read() == per_cell_csv(
                     1 - 2 * frame.exps.astype(np.int64))
         for normalize in (True, False):
-            cf = materialize(frame, normalize=normalize)
-            save_complex_csv(cf, path)
+            save_complex_csv(frame, path, normalize=normalize)
+            entries = (materialize(frame).entries if normalize
+                       else roots_of_unity(frame.p)[frame.exps])
             with open(path, "rb") as fh:
-                assert fh.read() == per_cell_csv(cf.entries, complex_cells)
-    # signed zeros, infinities, nan and subnormals, in a strided view
-    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
-                        -2.2250738585072014e-308, 1 / 3])
-    grid = np.empty((8, 8), dtype=np.complex128)
-    grid.real, grid.imag = special[:, None], special[None, ::-1]
-    entries = grid[:, ::2]
-    cf = ComplexFrame(entries=entries, normalized=False, provenance={})
-    save_complex_csv(cf, path)
-    with open(path, "rb") as fh:
-        assert fh.read() == per_cell_csv(entries, complex_cells)
+                assert fh.read() == per_cell_csv(entries, complex_cells)
 
 
 def csv_bytes(path):
@@ -258,9 +254,10 @@ def csv_bytes(path):
     return header + b"\n", body
 
 
-def assert_writers_match_per_row_oracle(frame, tmp_path):
+def assert_writers_match_per_row_oracle(frame, tmp_path, complex_csv=True):
     # the exponent CSV, its copy and, for p = 2, the sign CSV: the same
-    # text as one %d template per row, behind the same JSON header
+    # text as one %d template per row, behind the same JSON header; the
+    # complex CSV, normalized and not: one %.17g template per row
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     save_exponent_csv(frame, a, b)
     header, body = csv_bytes(a)
@@ -271,6 +268,9 @@ def assert_writers_match_per_row_oracle(frame, tmp_path):
         save_sign_csv(frame, a)
         assert csv_bytes(a) == (b"", csv_rows_per_row(
             1 - 2 * frame.exps.astype(np.int64)))
+    for normalize in (True, False) if complex_csv else ():
+        save_complex_csv(frame, a, normalize=normalize)
+        assert csv_bytes(a) == (b"", complex_csv_per_row(frame, normalize))
 
 
 def oracle_frames():
@@ -327,12 +327,13 @@ def test_reloaded_frames_written_again_unchanged(tmp_path):
 def test_csv_writers_across_encode_chunks(tmp_path):
     # frames of more than one default encode chunk: GF(3^7) with seams
     # inside rows (n = 2187), the 5.6 M sign cells of GF(2^12), m = 1365
+    # (whose complex CSV the per-row oracle would take seconds to format)
     odd = build_field_frame(3, 7, 1093)
     assert odd.exps.size > frames._ENCODE_CHUNK
     assert frames._ENCODE_CHUNK % odd.n_cols != 0
     assert_writers_match_per_row_oracle(odd, tmp_path)
     assert_writers_match_per_row_oracle(build_hadamard_frame(12, 1365),
-                                        tmp_path)
+                                        tmp_path, complex_csv=False)
 
 
 def test_random_frames_reproducible():
@@ -381,28 +382,35 @@ def test_full_character_table_is_unitary():
     assert np.max(np.abs(gram - np.eye(5))) < 1e-12
 
 
-def test_materialize_norms():
+def complex_csv_entries(frame, path, normalize):
+    """The entries save_complex_csv writes, read back: %.17g text parses
+    to the same float64 bits, and re, im pairs view as complex128."""
+    save_complex_csv(frame, path, normalize=normalize)
+    return np.loadtxt(path, delimiter=",", ndmin=2).view(np.complex128)
+
+
+def test_materialize_norms(tmp_path):
     f = build_field_frame(3, 3, 13)
     cf = materialize(f)
     norms = np.linalg.norm(cf.entries, axis=0)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
-    raw = materialize(f, normalize=False)
-    assert np.max(np.abs(np.linalg.norm(raw.entries, axis=0)
+    raw = complex_csv_entries(f, str(tmp_path / "c.csv"), normalize=False)
+    assert np.max(np.abs(np.linalg.norm(raw, axis=0)
                          - np.sqrt(13))) < 1e-12
     # the root table is scaled before the gather: the same division per
     # entry, so the same bits as scaling the gathered matrix
     roots = roots_of_unity(f.p)
     assert np.array_equal(cf.entries,
                           roots[f.exps.astype(np.int64)] / np.sqrt(13))
-    assert np.array_equal(raw.entries, roots[f.exps.astype(np.int64)])
+    assert np.array_equal(raw, roots[f.exps.astype(np.int64)])
 
 
-def test_materialize_hadamard_exact():
+def test_materialize_hadamard_exact(tmp_path):
     sm = build_hadamard_frame(3, 7)
-    cf = materialize(sm, normalize=False)
-    assert np.array_equal(cf.entries.real.astype(np.int8),
+    raw = complex_csv_entries(sm, str(tmp_path / "c.csv"), normalize=False)
+    assert np.array_equal(raw.real.astype(np.int8),
                           1 - 2 * sm.exps.astype(np.int8))
-    assert np.all(cf.entries.imag == 0)
+    assert np.all(raw.imag == 0)
 
 
 def test_inner_product_exact_matches_gram():
@@ -567,7 +575,7 @@ def test_complex_csv_written(tmp_path):
     f = build_field_frame(3, 1, 2)
     cf = materialize(f)
     path = str(tmp_path / "c.csv")
-    save_complex_csv(cf, path)
+    save_complex_csv(f, path)
     data = np.loadtxt(path, delimiter=",")
     assert data.shape == (2, 6)  # re,im pairs for 3 columns
     back = data[:, 0::2] + 1j * data[:, 1::2]
