@@ -30,9 +30,9 @@ from operator import itemgetter
 
 import numpy as np
 
-from .coherence import CoherenceReport, analyze, bound_general_kappa, \
-    bound_m_odd, coherence_bruteforce, property_thresholds, \
-    random_fourier_bound, welch_bound
+from .coherence import CoherenceReport, _check_log_base, analyze, \
+    bound_general_kappa, bound_m_odd, coherence_bruteforce, \
+    property_thresholds, random_fourier_bound, welch_bound
 from .errors import (
     InvariantViolation,
     ResourceCap,
@@ -181,9 +181,7 @@ def _parse_log_base(text: str) -> float | None:
         base = float(text)
     except ValueError:
         raise UsageError(f"--log-base must be 'e' or a number, got {text!r}")
-    if not 1.0 < base < math.inf:
-        raise UsageError(f"--log-base must be a finite number above 1, "
-                         f"got {base}")
+    _check_log_base(base)
     return base
 
 

@@ -118,11 +118,20 @@ def random_fourier_window(n: int, m_dim: int) -> bool:
     return 16.0 * math.log(n) <= m_dim <= n / 3.0
 
 
+def _check_log_base(log_base: float | None) -> None:
+    # the base of the logs in the property thresholds: None for e, else a
+    # finite number above 1, so that log n is positive for every n >= 2
+    if log_base is not None and not 1.0 < log_base < math.inf:
+        raise BadShape(f"log_base must be a finite number above 1, "
+                       f"got {log_base}")
+
+
 def property_thresholds(n: int, log_base: float | None = None) -> tuple:
     """The worst-case coherence thresholds (0.1/sqrt(2 log n),
     1/(164 log n)) of the coherence and the strong coherence property.
     Logs are natural by default; pass log_base for base-2/base-10
     sensitivity."""
+    _check_log_base(log_base)
     if n < 2:
         raise BadShape(f"need n >= 2, got {n}")
     log_n = math.log(n) if log_base is None else math.log(n, log_base)
@@ -214,6 +223,9 @@ def multiplier_sums(ctx: FieldCtx, multiplier_values) -> np.ndarray:
     by m.
     """
     mv = np.asarray(multiplier_values, dtype=np.int64)
+    if len(mv) == 0 or mv.min() < 0 or mv.max() >= ctx.n:
+        raise BadShape(f"multipliers must be a nonempty list of values in "
+                       f"[0, {ctx.n})")
     hist = np.bincount(dual_basis_keys(ctx, mv), minlength=ctx.n)
     total = _character_transform(
         hist.astype(np.float64 if ctx.p == 2 else np.complex128),
@@ -468,10 +480,12 @@ def _census_report(n: int, m_dim: int, mu: float, nu: float,
                    values: np.ndarray, counts: np.ndarray, scale: int = 1,
                    log_base: float | None = None,
                    mean_sq: float | None = None, kappa: int | None = None,
+                   magnitudes: list | None = None,
                    **fields) -> CoherenceReport:
     # the tail every construction ends in: from the census, the distinct
     # values each taken by counts * scale ordered pairs, the magnitude
-    # census, the mean square (unless the Gram gave it), the Welch bound
+    # census (unless the caller gave its (magnitude, pair count) list),
+    # the mean square (unless the Gram gave it), the Welch bound
     # and the property flags; the subgroup index kappa adds the coset-sum
     # bounds, and fields fills in the rest of the report.  scale is a
     # Python int, and the pair counts are Python ints once n(n-1) passes
@@ -487,7 +501,8 @@ def _census_report(n: int, m_dim: int, mu: float, nu: float,
         terms = pairs.astype(np.float64) \
             * np.hypot(values.real, values.imag) ** 2
         mean_sq = float(np.cumsum(terms)[-1]) / total
-    magnitudes = _magnitude_census(values, pairs)
+    if magnitudes is None:
+        magnitudes = _magnitude_census(values, pairs)
     flags = coherence_properties(mu, nu, n, m_dim, log_base=log_base)
     flags["equiangular"] = len(magnitudes) == 1
     if kappa is not None:
@@ -539,6 +554,7 @@ def analyze(frame, brute: str = "auto",
     """
     if brute not in ("on", "off", "auto"):
         raise BadShape(f"brute must be on/off/auto, got {brute!r}")
+    _check_log_base(log_base)
     if not isinstance(frame, ExponentFrame):
         raise BadShape(f"cannot analyze {type(frame).__name__}")
     m_rows, n_cols = frame.m_rows, frame.n_cols

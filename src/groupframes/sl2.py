@@ -17,11 +17,12 @@ import numpy as np
 from .coherence import (
     CoherenceReport,
     _census_report,
+    _check_log_base,
     bound_general_kappa,
-    cluster_complex,
     coset_sums,
 )
 from .errors import (
+    BadShape,
     MNotOddDivisor,
     NotEvenPrimePower,
     QMinusOneNotPrime,
@@ -43,7 +44,7 @@ def _check_q(q: int):
 def _degree(q: int, m: int, mode: str) -> int:
     # validate (q, m) for the mode; the representation degree is q -+ 1
     if mode not in ("induced", "cuspidal"):
-        raise ValueError(f"mode must be induced or cuspidal, got {mode!r}")
+        raise BadShape(f"mode must be induced or cuspidal, got {mode!r}")
     _check_q(q)
     if mode == "induced":
         if not is_prime(q - 1):
@@ -59,13 +60,14 @@ def _degree(q: int, m: int, mode: str) -> int:
 
 
 def _class_sums(p: int, m: int) -> tuple:
-    # A2m and s_l = sum_{a in A2m} w_p**(l a) for l = 1..p-1.  Tr is the
-    # identity on the prime field, so s_l = 2m c with c the Gauss period
-    # of the coset of l: the coset sum at log l mod the index of A2m
+    # A2m, its kappa periods s_d = 2m c_d (Tr is the identity on GF(p), so
+    # c is the coset sums; real, as -1 is in A2m; -1 exactly at kappa = 1)
+    # and the coset log l mod kappa of l = 1..p-1: s_l = s[coset of l]
     ctx = build_field(p, 1)
     kappa, a2m = subgroup_of_order(ctx, 2 * m)
-    c = coset_sums(ctx, kappa)
-    return a2m, 2 * m * c[ctx.log_of_value[1:] % kappa]
+    periods = 2 * m * coset_sums(ctx, kappa).real if kappa > 1 \
+        else np.array([-1.0])
+    return a2m, periods, ctx.log_of_value[1:] % kappa
 
 
 def sl2_report(q: int, m: int, mode: str,
@@ -78,14 +80,15 @@ def sl2_report(q: int, m: int, mode: str,
     frame value 1/(n-1) (row sums of the Gram are -1 because all stacked
     characters are nontrivial irreducibles).
     """
+    _check_log_base(log_base)
     deg = _degree(q, m, mode)
     p = 2 * q - deg
-    a2m, sums = _class_sums(p, m)
+    a2m, periods, coset = _class_sums(p, m)
     n = q ** 3 - q
     # the unipotent class pins the inner product 1/deg; the torus classes
     # carrying characters mod p give |s_l| / (m deg) for l = 1..p-1
     u = 1.0 / deg
-    w = np.abs(sums) / (m * deg)
+    w = np.abs(periods[coset]) / (m * deg)
     # the classes of SL2(F_q) besides the identity: one unipotent class of
     # q^2 - 1 elements, (q - 2)/2 split torus classes of q(q + 1) and q/2
     # nonsplit ones of q(q - 1), as (count, size); the torus family that
@@ -103,18 +106,26 @@ def sl2_report(q: int, m: int, mode: str,
     else:
         sign, carrier, silent = -1.0, nonsplit, split
         sl2_bound = None
-    signed = sign * sums[:(p - 1) // 2] / (m * deg)
 
-    # every class value is taken by n * (class mass) ordered pairs; the
-    # common factor n is the census scale
-    values = np.concatenate(([sign / deg], signed, [0.0]))
-    weights = np.concatenate((
-        [q * q - 1], np.full(len(signed), carrier[1]),
-        [silent[0] * silent[1]]))
-    reps, counts = cluster_complex(values, weights=weights)
+    # each coset of A2m is closed under negation, so m of the carrier
+    # classes l = 1..(p-1)/2 take its period.  A period is the 0/1
+    # indicator of its coset in the basis w, ..., w**(p-1) of Z[w], and u
+    # is -m(1, ..., 1)/(m deg), so the kappa + 2 values are distinct and
+    # only at q = 4 induced (period -1) do two magnitudes, u and -u, merge.
+    # Each value is taken by n * (class mass) ordered pairs
+    values = np.concatenate(([sign / deg], sign * periods / (m * deg), [0.0]))
+    mass = np.concatenate(([q * q - 1], np.full(len(periods), m * carrier[1]),
+                           [silent[0] * silent[1]]))
+    order = np.argsort(values)
+    values, mass = values[order], mass[order]
+    mags, which = np.unique(np.abs(values), return_inverse=True)
+    mag_mass = np.zeros(len(mags), dtype=np.int64)
+    np.add.at(mag_mass, which, mass)
     return _census_report(
         n, m * deg ** 2, float(max(u, w.max())), 1.0 / (n - 1),
-        reps, counts, n, log_base=log_base,
+        values, mass, n, log_base=log_base,
+        magnitudes=[(v, c * n) for v, c in zip(mags.tolist(),
+                                                mag_mass.tolist())],
         paths={"census_source": "class-functions",
                "nu_source": "group-frame-identity"},
         provenance={

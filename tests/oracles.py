@@ -10,11 +10,12 @@ and the orbit form of the mean-square bound.  Elements are base-p values
 fast kernels: character sums from exact trace-value counts and from the
 length-(n-1) FFT correlation the package once used, subgroup members
 from their logs, the SL2 class sums from the transform of the subgroup
-as a list, the Sylvester row labels bit by bit, and the census
-clustering by full re-sorts of every group on every pass.  The dense
-kernels are checked against the full-matrix products the package once
-used, cli._divisors against trial division, and the CSV byte kernel
-against the per-row %d and %.17g writers.
+as a list, the SL2 census from the cosets of the subgroup as 0/1 rows,
+the Sylvester row labels bit by bit, and the census clustering by full
+re-sorts of every group on every pass.  The dense kernels are checked
+against the full-matrix products the package once used, cli._divisors
+against trial division, and the CSV byte kernel against the per-row %d
+and %.17g writers.
 """
 
 import math
@@ -397,6 +398,25 @@ def sl2_class_sums_by_transform(p, m):
     a2m = subgroup_members(ctx, (p - 1) // (2 * m))
     c = multiplier_sums(ctx, a2m)
     return a2m, 2 * m * c[ctx.log_of_value[1:]]
+
+
+def sl2_coset_indicators(p, m):
+    """The cosets of A2m, the order-2m subgroup of GF(p)*, as 0/1 rows over
+    l = 1..p-1, found by multiplying A2m by each l not yet covered.  In the
+    basis w, ..., w**(p-1) of Z[w] the row of a coset is the coordinate
+    vector of its Gauss period sum_{l in coset} w**l, so two periods are
+    equal exactly when their rows are."""
+    a2m = subgroup_members(build_field(p, 1), (p - 1) // (2 * m))
+    rows = np.zeros(((p - 1) // (2 * m), p - 1), dtype=np.int8)
+    covered = np.zeros(p, dtype=bool)
+    d = 0
+    for ell in range(1, p):
+        if not covered[ell]:
+            coset = a2m * ell % p
+            covered[coset] = True
+            rows[d, coset - 1] = 1
+            d += 1
+    return rows
 
 
 def divisors_by_trial(x):

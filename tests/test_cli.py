@@ -489,6 +489,22 @@ def test_bounds_kappa_sweep(tmp_path):
         assert float(cells[welch_col]) <= float(cells[bg_col])
 
 
+@pytest.mark.parametrize("text, error", [("x", "UsageError"),
+                                         ("1", "BadShape"),
+                                         ("0.5", "BadShape"),
+                                         ("-2", "BadShape"),
+                                         ("nan", "BadShape"),
+                                         ("inf", "BadShape")])
+def test_bad_log_base_exit_2(text, error, capsys):
+    # a number that is no base is refused by the library's own rule
+    for argv in (["analyze", "--sl2", "8", "3"],
+                 ["bounds", "--kappa", "2", "--n-min", "3", "--n-max", "9"]):
+        assert main([*argv, "--log-base", text]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["error"] == error
+
+
 def test_bounds_agree_with_reports(tmp_path):
     # the thresholds and bound_m_odd cells are the values a report of the
     # frame at that (n, m) carries, or blank where the report has None

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import groupframes.coherence as coherence
+import groupframes.sl2 as sl2
 from groupframes.coherence import (
     _census_report,
     _magnitude_census,
@@ -19,6 +20,7 @@ from groupframes.coherence import (
     coherence_properties,
     coset_sums,
     multiplier_sums,
+    property_thresholds,
     random_fourier_bound,
     random_fourier_window,
     roots_of_unity,
@@ -140,6 +142,25 @@ def test_coherence_properties_thresholds():
     assert base2["cp_mu_threshold"] < flags["cp_mu_threshold"]
 
 
+@pytest.mark.parametrize("log_base", [1.0, 0.5, -2.0, float("nan")])
+def test_bad_log_base_refused(monkeypatch, log_base):
+    # a base that is not a finite number above 1 is BadShape on every
+    # entry point that takes one; analyze and sl2_report refuse it before
+    # any work
+    with pytest.raises(BadShape):
+        property_thresholds(1024, log_base)
+    with pytest.raises(BadShape):
+        coherence_properties(0.0616, 1 / 1023, 1024, 341, log_base=log_base)
+    frame = build_field_frame(3, 3, 13)
+    for name in ("coset_sums", "materialize"):
+        monkeypatch.setattr(coherence, name, None)
+    monkeypatch.setattr(sl2, "build_field", None)
+    with pytest.raises(BadShape):
+        analyze(frame, log_base=log_base)
+    with pytest.raises(BadShape):
+        sl2_report(4, 1, "induced", log_base=log_base)
+
+
 def test_coset_sum_identity():
     # 1 + m * sum_d c_d = 0 for every subgroup
     for p, r, m in [(3, 3, 13), (7, 1, 3), (2, 8, 51), (5, 2, 8),
@@ -249,6 +270,17 @@ def test_multiplier_sums_match_histogram_oracle_on_random_lists():
             got = multiplier_sums(ctx, mv)
             want = histogram_sums(ctx, mv, ctx.n - 1)
             assert np.max(np.abs(got - want)) <= 1e-12, (p, r, m)
+
+
+def test_multiplier_sums_refuse_bad_lists():
+    # a negative value would wrap to the end of the log table, one past
+    # the field would index out of it, and an empty list has no mean
+    ctx = build_field(3, 3)
+    for bad in ([-1], [27], [0, 5, 27], []):
+        with pytest.raises(BadShape):
+            multiplier_sums(ctx, bad)
+    assert np.allclose(multiplier_sums(ctx, [0, 26]),
+                       histogram_sums(ctx, [0, 26], ctx.n - 1))
 
 
 def test_multiplier_sums_exact_for_p2():

@@ -5,6 +5,7 @@ import pytest
 
 import groupframes.sl2 as sl2
 from groupframes.errors import (
+    BadShape,
     MNotOddDivisor,
     NotEvenPrimePower,
     QMinusOneNotPrime,
@@ -13,7 +14,12 @@ from groupframes.errors import (
 )
 from groupframes.gf import build_field, subgroup_of_order
 from groupframes.sl2 import sl2_report
-from oracles import admissible_q, sl2_cases, sl2_class_sums_by_transform
+from oracles import (
+    admissible_q,
+    sl2_cases,
+    sl2_class_sums_by_transform,
+    sl2_coset_indicators,
+)
 
 
 def pair_counts(rep):
@@ -186,7 +192,7 @@ def test_report_mean_square_consistency():
 
 
 def test_report_bad_mode():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadShape):
         sl2_report(4, 1, "both")
 
 
@@ -222,12 +228,49 @@ def test_class_sums_match_transform_oracle():
     for q, m, mode in cases:
         deg = sl2._degree(q, m, mode)
         p = 2 * q - deg
-        a2m, sums = sl2._class_sums(p, m)
+        a2m, periods, coset = sl2._class_sums(p, m)
         want_a2m, want = sl2_class_sums_by_transform(p, m)
         assert np.array_equal(a2m, want_a2m)
+        sums = periods[coset]
         assert np.max(np.abs(sums - want)) / (m * deg) <= 1e-15
         kappa = (p - 1) // (2 * m)
-        assert len(np.unique(sums)) == kappa, (q, m, mode)
+        assert len(periods) == len(np.unique(sums)) == kappa, (q, m, mode)
         w = sl2_report(q, m, mode).extra["w_values"]
         assert np.max(np.abs(np.array(w) - np.abs(want) / (m * deg))) \
             <= 1e-15
+
+
+def test_census_matches_coset_indicator_oracle():
+    # the census is one value per coset of A2m, plus u and 0.  The cosets
+    # are distinct 0/1 rows in the basis w, ..., w**(p-1) of Z[w], where u
+    # is -m(1, ..., 1) over m deg and no row is minus another, so every
+    # value is distinct, and only at q = 4 induced, where the one period
+    # is -1 = -m, does a torus magnitude merge with u.  The oracle's rows
+    # stop at p = 8191; p = 65537 takes the count kappa' + 2
+    for q, m, mode in sl2_cases():
+        rep = sl2_report(q, m, mode)
+        p = rep.provenance["character_modulus"]
+        if p <= 8191:
+            cosets = len({row.tobytes()
+                          for row in sl2_coset_indicators(p, m)})
+        else:
+            cosets = (p - 1) // (2 * m)
+        merged = (q, m, mode) == (4, 1, "induced")
+        assert len(rep.distinct_values) == cosets + 2, (q, m, mode)
+        assert len(rep.distinct_magnitudes) == cosets + 2 - merged, \
+            (q, m, mode)
+        # the class masses times n cover the n(n - 1) ordered pairs
+        counts = [c for _, c in rep.distinct_values]
+        assert all(c % rep.n == 0 for c in counts)
+        assert sum(counts) == rep.n * (rep.n - 1)
+        assert sum(c for _, c in rep.distinct_magnitudes) == sum(counts)
+
+
+@pytest.mark.parametrize("q, m, mode, count", [(8192, 1, "induced", 4097),
+                                               (65536, 1, "cuspidal", 32770)])
+def test_census_counts_at_the_largest_q(q, m, mode, count):
+    # kappa' Gauss periods, u and 0, none merged: values about 1/q**2
+    # apart are kept apart
+    rep = sl2_report(q, m, mode)
+    assert len(rep.distinct_values) == count
+    assert len(rep.distinct_magnitudes) == count
