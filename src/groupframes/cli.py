@@ -133,23 +133,28 @@ def _json_text(obj) -> str:
     CoherenceReport is written as its to_dict().
 
     An indented dump runs the pure-Python encoder, which takes seconds on
-    a census of 10**5 values, so a report's census lists are dumped empty
-    and spliced back in, one %r template per entry built from its sorted
-    keys: to_dict gives the entries Python ints and finite floats, whose
-    %r is the text json.dumps writes.
+    a census of 10**5 values, so a report's long lists (the two censuses
+    and an SL2 report's p - 1 w_values) are dumped empty and spliced back
+    in, one %r template per entry, built from its sorted keys for a
+    census entry: to_dict gives the entries Python ints and finite
+    floats, whose %r is the text json.dumps writes.
     """
     if not isinstance(obj, CoherenceReport):
         return json.dumps(obj, sort_keys=True, indent=2) + "\n"
     d = obj.to_dict()
-    census = {key: d[key] for key in ("distinct_values",
-                                      "distinct_magnitudes") if d[key]}
-    d.update(dict.fromkeys(census, []))
+    lists = {key: d[key] for key in ("distinct_values", "distinct_magnitudes",
+                                     "w_values") if d.get(key)}
+    d.update(dict.fromkeys(lists, []))
     text = json.dumps(d, sort_keys=True, indent=2)
-    for key, entries in census.items():
-        keys = sorted(entries[0])
-        entry = "    {\n" + ",\n".join(f'      "{k}": %r' for k in keys) \
-            + "\n    }"
-        flat = tuple(chain.from_iterable(map(itemgetter(*keys), entries)))
+    for key, entries in lists.items():
+        if key == "w_values":
+            entry, flat = "    %r", tuple(entries)
+        else:
+            keys = sorted(entries[0])
+            entry = "    {\n" + ",\n".join(f'      "{k}": %r' for k in keys) \
+                + "\n    }"
+            flat = tuple(chain.from_iterable(map(itemgetter(*keys),
+                                                 entries)))
         body = "[\n" + ",\n".join([entry] * len(entries)) % flat + "\n  ]"
         # a raw newline cannot sit inside a JSON string, and nested keys
         # are indented deeper, so this is the top-level key

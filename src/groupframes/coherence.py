@@ -346,7 +346,8 @@ def cluster_complex(values, weights=None):
 def _upper_blocks(a: np.ndarray):
     # a[:, i0:i1]^H @ a[:, i0:] for i0 in steps of _GRAM_ROWS: the upper
     # block triangle of the Hermitian a^H a, each block starting with its
-    # diagonal square; one block of a is conjugated at a time
+    # diagonal square; one block of a is conjugated at a time, and a real
+    # a is not copied (its conj() is itself)
     for i0 in range(0, a.shape[1], _GRAM_ROWS):
         yield a[:, i0:i0 + _GRAM_ROWS].conj().T @ a[:, i0:]
 
@@ -358,9 +359,12 @@ def coherence_bruteforce(cf: ComplexFrame, census: bool = True) -> dict:
     The Gram matrix is Hermitian, so only its strict upper triangle is
     formed, _GRAM_ROWS rows at a time, and each block is reduced while it
     is in cache; the census clusters the upper-triangle values with their
-    conjugates, which stand for the pairs below the diagonal.  Pass
-    census=False to skip the distinct-value clustering, which dominates
-    the cost on large sweeps; mu and the mean square are unaffected.
+    conjugates, which stand for the pairs below the diagonal.  The Gram
+    of a conjugate-halves factor Q is 2 Q^T Q: doubling is exact, so mu,
+    the mean square and the census values are scaled once, at the end.
+    Pass census=False to skip the distinct-value clustering, which
+    dominates the cost on large sweeps; mu and the mean square are
+    unaffected.
     """
     _require_normalized(cf)
     n = cf.entries.shape[1]
@@ -380,9 +384,10 @@ def coherence_bruteforce(cf: ComplexFrame, census: bool = True) -> dict:
         if census:
             cols = np.arange(block.shape[1])
             upper.append(block[cols > cols[:rows, None]])
+    weight = 2.0 if cf.conjugate_halves else 1.0
     out = {
-        "mu": mu,
-        "gram_offdiag_mean_sq": 2.0 * total / (n * (n - 1)),
+        "mu": weight * mu,
+        "gram_offdiag_mean_sq": 2.0 * weight ** 2 * total / (n * (n - 1)),
         "distinct_values": None,
     }
     if census:
@@ -390,6 +395,8 @@ def coherence_bruteforce(cf: ComplexFrame, census: bool = True) -> dict:
         # the full off-diagonal: a sign frame's census at n = 4096 sorted
         # 1.5x slower as all the values followed by all the conjugates
         upper = np.concatenate(upper)
+        if cf.conjugate_halves:
+            upper *= weight
         reps, counts = cluster_complex(
             np.stack((upper, upper.conj()), axis=1).ravel())
         out["distinct_values"] = list(zip(reps.tolist(), counts.tolist()))
@@ -404,18 +411,48 @@ def average_coherence(cf: ComplexFrame) -> float:
         raise BadShape("need at least two columns")
     s = cf.entries.sum(axis=1)
     # the conjugates of the row sums, without a conjugate copy of the
-    # matrix; the moduli are the same bits
-    row_sums = cf.entries.T @ s.conj() - 1.0
-    return float(np.max(np.abs(row_sums)) / (n - 1))
+    # matrix; the moduli are the same bits.  The Gram of a
+    # conjugate-halves factor Q is 2 Q^T Q
+    row_sums = cf.entries.T @ s.conj()
+    if cf.conjugate_halves:
+        row_sums *= 2.0
+    return float(np.max(np.abs(row_sums - 1.0)) / (n - 1))
+
+
+def _conjugate_halves_residual(q: np.ndarray, n_over_m: float) -> float:
+    # F = [T; conj(T)] with T = C + iS and q = [C; S]: for a, b < h = m/2,
+    # (FF*)[a, b] = (CC^T + SS^T) + i(SC^T - CS^T) and (FF*)[a, b + h] =
+    # (CC^T - SS^T) + i(SC^T + CS^T), and the other two quadrants are
+    # their conjugates.  Both are Hermitian or symmetric, so their moduli
+    # are formed for b >= a0 only, a block of rows a0 <= a < a1 at a time:
+    # two products of that block's [C; S] rows give all four of CC^T,
+    # SC^T, CS^T and SS^T.  The largest squared modulus is kept, and its
+    # root taken once: np.hypot took 10x the time of the squares
+    h = len(q) // 2
+    c, s = q[:h], q[h:]
+    worst = 0.0
+    for a0 in range(0, h, _GRAM_ROWS):
+        a1 = a0 + _GRAM_ROWS
+        rows = np.concatenate((c[a0:a1], s[a0:a1]))
+        (cc, sc), (cs, ss) = (np.split(rows @ y[a0:].T, 2) for y in (c, s))
+        same = cc + ss
+        diag = np.arange(len(same))
+        same[diag, diag] -= n_over_m
+        for re, im in ((same, sc - cs), (cc - ss, sc + cs)):
+            worst = max(worst, float((re * re + im * im).max()))
+    return math.sqrt(worst)
 
 
 def tightness_residual(cf: ComplexFrame) -> float:
     """max |MM* - (n/m) I|; zero(ish) iff the frame is tight.
 
     The blocks of the Gram matrix of M^T are conj(MM*), upper block
-    triangle only, whose entries have the same moduli."""
+    triangle only, whose entries have the same moduli; a conjugate-halves
+    factor gives the four quadrants of MM* from its two halves."""
     _require_normalized(cf)
     m, n = cf.entries.shape
+    if cf.conjugate_halves:
+        return _conjugate_halves_residual(cf.entries, n / m)
     worst = 0.0
     for block in _upper_blocks(cf.entries.T):
         diag = np.arange(block.shape[0])

@@ -6,9 +6,10 @@ and whose rows are the characters x -> w**Tr(ax) for a chosen list of
 multipliers a, with w the primitive p-th root of unity.  Choosing the
 multipliers to be the order-m subgroup of the unit group gives the group
 frames; choosing them at random gives the seeded baselines.  Entries are
-stored as exponents of w, whatever the construction, and materialized to
-complex only for the dense checks: every CSV, the complex one too, is
-written from the exponents (a Hadamard sign row is w**exps = 1 - 2 exps).
+stored as exponents of w, whatever the construction, and materialized
+only for the dense checks, as a real factor where the Gram matrix is
+real: every CSV, the complex one too, is written from the exponents (a
+Hadamard sign row is w**exps = 1 - 2 exps).
 """
 
 from __future__ import annotations
@@ -61,10 +62,15 @@ class ExponentFrame:
 
 @dataclass
 class ComplexFrame:
-    """The dense kernels' matrix; columns have unit norm when normalized."""
+    """The dense kernels' matrix; columns have unit norm when normalized.
+
+    With conjugate_halves set, entries is the real m x n factor [C; S] of
+    a frame F = [T; conj(T)] whose bottom half conjugates its top half
+    T = C + iS, and F^H F = 2 entries^T entries."""
 
     entries: np.ndarray = field(repr=False)
     normalized: bool
+    conjugate_halves: bool = False
 
 
 def roots_of_unity(p: int) -> np.ndarray:
@@ -246,12 +252,59 @@ def _entry_values(frame: ExponentFrame, normalize: bool = True):
     return roots / np.sqrt(frame.m_rows) if normalize else roots
 
 
+# cells per block of the conjugate-halves check in materialize
+_HALVES_BLOCK = 2 ** 16
+
+
+def _conjugate_halves(frame: ExponentFrame) -> bool:
+    """Whether the odd-p frame's rows m/2..m-1 are its rows 0..m/2-1
+    negated mod p, cell for cell, compared a block of rows at a time in
+    the exponents' own dtype.  Every subgroup frame with m even is laid
+    out so: its members g**(kappa i) run in power order, and -1 being
+    g**(kappa m/2), -a_i = a_(i + m/2)."""
+    p, m, n = frame.p, frame.m_rows, frame.n_cols
+    if p == 2 or m % 2:
+        return False
+    h = m // 2
+    exps = frame.exps
+    negated = ((p - np.arange(p)) % p).astype(exps.dtype)
+    rows = max(1, _HALVES_BLOCK // n)
+    for i0 in range(0, h, rows):
+        i1 = min(i0 + rows, h)
+        if not np.array_equal(np.take(negated, exps[i0:i1]),
+                              exps[h + i0:h + i1]):
+            return False
+    return True
+
+
 def materialize(frame: ExponentFrame) -> ComplexFrame:
-    """Turn an exponent frame into complex entries with unit-norm columns."""
+    """The dense kernels' matrix: the entries w**exps over sqrt(m), whose
+    columns have unit norm.
+
+    Where the Gram matrix F^H F is real, entries is a real m x n factor
+    of it, in the bits of the complex entries' parts, and F is never
+    formed.  For p = 2 that is F itself, the signs over sqrt(m).  For
+    odd p whose bottom half of rows negates the top half T, cell for cell
+    (every subgroup frame with m even, -1 being a member), the bottom half
+    is conj(T), and entries = [Re T; Im T] with conjugate_halves set:
+    F^H F = T^H T + conj(T^H T) = 2 Re(T^H T).  Every other frame is the
+    complex matrix.
+    """
     if not isinstance(frame, ExponentFrame):
         raise BadShape(f"cannot materialize {type(frame).__name__}")
     _check_cells(frame.m_rows, frame.n_cols, COMPLEX_CELL_CAP)
-    return ComplexFrame(_entry_values(frame)[frame.exps], normalized=True)
+    values = _entry_values(frame)
+    if frame.p == 2:
+        return ComplexFrame(values.real[frame.exps], normalized=True)
+    if not _conjugate_halves(frame):
+        return ComplexFrame(values[frame.exps], normalized=True)
+    h = frame.m_rows // 2
+    q = np.empty(frame.exps.shape)
+    # the exponents lie in [0, p): a take that need not check them writes
+    # straight into q
+    np.take(values.real, frame.exps[:h], out=q[:h], mode="clip")
+    np.take(values.imag, frame.exps[:h], out=q[h:], mode="clip")
+    return ComplexFrame(q, normalized=True, conjugate_halves=True)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import groupframes.coherence as coherence
+import groupframes.frames as frames_module
 import groupframes.sl2 as sl2
 from groupframes.coherence import (
     _census_report,
@@ -413,6 +414,143 @@ def test_blocked_dense_kernels_match_full_gram_oracles():
                               want["distinct_values"])) <= 1e-15
         else:
             assert got["distinct_values"] is None
+
+
+def _complex_oracle_frame(frame):
+    # the frame's complex matrix, as the full-matrix oracles take it
+    return ComplexFrame(roots_of_unity(frame.p)[frame.exps]
+                        / np.sqrt(frame.m_rows), normalized=True)
+
+
+def _real_gram_frames():
+    """Every subgroup frame with m even or p = 2 and n <= 256, a Hadamard
+    frame, and GF(3^7) with m = 2186."""
+    frames = []
+    for p, r in _fields(256):
+        ctx = build_field(p, r)
+        frames += [build_field_frame(p, r, m, ctx=ctx)
+                   for m in oracles.divisors_by_trial(ctx.n - 1)
+                   if m % 2 == 0 or p == 2]
+    return frames + [build_hadamard_frame(8, 51),
+                     build_field_frame(3, 7, 2186)]
+
+
+def _assert_dense_kernels_match_oracles(cf, full, census=False):
+    # the dense kernels on cf against the full-matrix oracles on the
+    # complex matrix full that cf stands for.  The tightness bound: each
+    # entry of FF* sums n terms whose moduli add up to about n/m (exactly
+    # n/m for entries of modulus 1/sqrt(m)); rounded in double, such a
+    # sum is off by about sqrt(n) eps times n/m (the probabilistic bound
+    # for inner products), and sqrt(n) <= sqrt(BRUTE_CAP) = 64, hence
+    # 64 eps max(1, n/m).  For a tight frame the exact residual is 0, so
+    # both sides are such rounding errors and |got - want| <= max(got,
+    # want) stays within the bound
+    m, n = full.entries.shape
+    got = coherence_bruteforce(cf, census=census)
+    want = oracles.coherence_bruteforce(full, census=census)
+    assert abs(got["mu"] - want["mu"]) <= 1e-14
+    assert abs(got["gram_offdiag_mean_sq"]
+               - want["gram_offdiag_mean_sq"]) <= 1e-14
+    assert abs(average_coherence(cf)
+               - oracles.average_coherence(full)) <= 1e-14
+    eps = np.finfo(np.float64).eps
+    assert abs(tightness_residual(cf) - oracles.tightness_residual(full)) \
+        <= 64 * eps * max(1.0, n / m), (m, n)
+    if census:
+        assert [c for _, c in got["distinct_values"]] \
+            == [c for _, c in want["distinct_values"]]
+        assert max(abs(v - w) for (v, _), (w, _)
+                   in zip(got["distinct_values"],
+                          want["distinct_values"])) <= 1e-14
+
+
+def _assert_materialized_matches_oracles(frame, census=False):
+    cf = materialize(frame)
+    _assert_dense_kernels_match_oracles(cf, _complex_oracle_frame(frame),
+                                        census=census)
+    return cf
+
+
+def test_real_gram_route_matches_full_matrix_oracles():
+    # where the Gram matrix is real (p = 2, or m even with the bottom half
+    # of rows negating the top half) the dense kernels run on a real
+    # m x n factor; frames without that layout stay complex
+    frames = _real_gram_frames()
+    assert len(frames) > 300
+    for frame in frames:
+        cf = _assert_materialized_matches_oracles(frame)
+        assert cf.entries.dtype == np.float64
+        assert cf.entries.shape == frame.exps.shape
+        assert cf.conjugate_halves == (frame.p != 2)
+    for frame in (build_field_frame(3, 3, 13), build_field_frame(7, 2, 3),
+                  build_random_exponent_frame(3, 5, 12, seed=4),
+                  build_random_exponent_frame(5, 3, 62, seed=1)):
+        cf = materialize(frame)
+        assert cf.entries.dtype == np.complex128
+        assert cf.entries.shape == frame.exps.shape
+        assert not cf.conjugate_halves
+
+
+def test_real_gram_route_census_without_structure():
+    # a bare sign frame and an odd-p exponent frame without multipliers
+    # take the Gram census: equal counts on the real factor and the
+    # complex oracle, and the same mu through analyze.  Their first 100
+    # columns are not tight, and their Gram rows do not sum to 0 as a
+    # whole field's do, so the frame operator's quadrants and the weight
+    # of the row sums are checked too
+    hadamard = build_hadamard_frame(8, 51)
+    subgroup = build_field_frame(3, 5, 22)
+    for frame in (hadamard, subgroup):
+        for cols in (frame.n_cols, 100):
+            bare = ExponentFrame(p=frame.p, exps=frame.exps[:, :cols],
+                                 provenance={})
+            cf = _assert_materialized_matches_oracles(bare, census=True)
+            assert cf.entries.dtype == np.float64
+            rep = analyze(bare, brute="on")
+            assert rep.paths["census_source"] == "gram"
+            assert sum(c for _, c in rep.distinct_values) == cols * (cols - 1)
+        assert abs(rep.nu - 1 / 99) > 1e-3 and rep.tightness_residual > 0.1
+        assert abs(analyze(ExponentFrame(p=frame.p, exps=frame.exps,
+                                         provenance={})).mu
+                   - analyze(frame, brute="off").mu) <= 1e-14
+
+
+def test_conjugate_halves_kernels_on_random_factors():
+    # F = [T; conj(T)] for random T = C + iS, whose frame operator has no
+    # zero quadrant and whose Gram rows do not sum to 0, and for T = [t;
+    # it] with unimodular t, whose largest entry of FF* - (n/m) I is the
+    # imaginary <t, it> = -i n/4 of the top-left quadrant
+    rng = np.random.default_rng(0)
+    tops = [rng.standard_normal((h, n)) + 1j * rng.standard_normal((h, n))
+            for h, n in ((1, 7), (2, 9), (3, 130), (150, 257))]
+    t = np.exp(2j * np.pi * rng.random(64))
+    tops.append(np.vstack((t, 1j * t)))
+    for top in tops:
+        full = np.vstack((top, top.conj()))
+        norms = np.linalg.norm(full, axis=0)
+        cf = ComplexFrame(entries=np.vstack((top.real, top.imag)) / norms,
+                          normalized=True, conjugate_halves=True)
+        _assert_dense_kernels_match_oracles(
+            cf, ComplexFrame(entries=full / norms, normalized=True),
+            census=True)
+
+
+@pytest.mark.parametrize("block", [None, 500])
+def test_tampered_bottom_half_takes_complex_route(block, monkeypatch):
+    # one bottom-half cell changed: the halves no longer conjugate, so the
+    # frame is materialized complex and still matches the oracles; the
+    # halves are compared a block of rows at a time (500 cells: 2 rows)
+    if block is not None:
+        monkeypatch.setattr(frames_module, "_HALVES_BLOCK", block)
+    frame = build_field_frame(3, 5, 22)
+    assert materialize(frame).conjugate_halves
+    for row, col in ((11, 0), (21, 242), (15, 100)):
+        exps = frame.exps.copy()
+        exps[row, col] = (exps[row, col] + 1) % 3
+        tampered = ExponentFrame(p=3, exps=exps, provenance={})
+        cf = _assert_materialized_matches_oracles(tampered, census=True)
+        assert cf.entries.dtype == np.complex128
+        assert not cf.conjugate_halves
 
 
 def test_cluster_complex_merges_near_values():
