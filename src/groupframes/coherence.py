@@ -352,6 +352,90 @@ def _upper_blocks(a: np.ndarray):
         yield a[:, i0:i0 + _GRAM_ROWS].conj().T @ a[:, i0:]
 
 
+def _sum_and_difference(c: np.ndarray, s: np.ndarray):
+    # the blocks of _upper_blocks for c^T c + s^T s and c^T c - s^T s of
+    # the real c and s, from one product of each
+    for cc, ss in zip(_upper_blocks(c), _upper_blocks(s)):
+        diff = cc - ss
+        cc += ss
+        yield cc, diff
+
+
+def _paired_blocks(t: np.ndarray):
+    # (A, B) for each block i0 <= i < i1 of _GRAM_ROWS columns of a paired
+    # frame's T: A = T_b^H T[:, i0:] and B = T_b^T T[:, i0:], the upper
+    # block triangles of T^H T and of the symmetric T^T T.  For the real
+    # [C; S] of T = [T1; conj(T1)], T1 = C + iS, T^H T = 2(C^T C + S^T S)
+    # and T^T T = 2(C^T C - S^T S): the blocks are of their halves, from
+    # one product of each half of the rows
+    if not np.iscomplexobj(t):
+        yield from _sum_and_difference(*np.split(t, 2))
+        return
+    for i0 in range(0, t.shape[1], _GRAM_ROWS):
+        tb, rest = t[:, i0:i0 + _GRAM_ROWS], t[:, i0:]
+        yield tb.conj().T @ rest, tb.T @ rest
+
+
+def _paired_bruteforce(t: np.ndarray, census: bool) -> dict:
+    # The Gram of F = [f_0, T, conj(T)] in blocks: <f_0, f_x> = u_x, and
+    # for columns x, y of T, <f_x, f_y> = (T^H T)[x, y] = conj(<f_-x, f_-y>)
+    # and <f_-x, f_y> = (T^T T)[x, y] = conj(<f_x, f_-y>).  So each entry
+    # of u, of T^H T above its diagonal and of T^T T off it stands for 4
+    # ordered pairs, 2 of which take its conjugate, and each diagonal
+    # entry of T^T T (the pairs x, -x) for 2: 4h^2 + 2h = n(n - 1) pairs.
+    # The real [C; S] gives the halves of u and of the blocks, doubled
+    # (exactly) at the end.  The census clusters the values of the generic
+    # route, in its order: the upper triangle row by row over the columns
+    # (0, x_1..x_h, -x_1..-x_h), each beside its conjugate, written in
+    # place
+    m, h = t.shape
+    n = 2 * h + 1
+    real = not np.iscomplexobj(t)
+    weight = 2.0 if real else 1.0
+    u = (np.split(t, 2)[0] if real else t).sum(axis=0) / np.sqrt(m)
+    mags = np.abs(u)
+    mu, total = float(mags.max()), 4.0 * float(np.square(mags).sum())
+    if census:
+        pairs = np.empty((n * (n - 1) // 2, 2), dtype=t.dtype)
+        pairs[:2 * h, 0] = np.concatenate((u, u.conj()))
+        # the slot of <f_x_i, f_x_j> (j > i) is plus[i] + j, of
+        # <f_-x_i, f_-x_j> (j > i) mirror[i] + j, and of <f_x_i, f_-x_j>
+        # minus[i] + j, where Gram row r starts at slot r (n-1) - r (r-1)/2
+        rows = np.arange(1, h + 1)
+        plus = rows * (n - 1) - rows * (rows - 1) // 2 - rows
+        minus = plus + h
+        mirror = plus + (n - 1 - rows) * h - h * (h - 1) // 2
+    for i0, (a, b) in zip(range(0, h, _GRAM_ROWS), _paired_blocks(t)):
+        k = a.shape[0]
+        cols = np.arange(i0, h)
+        if census:
+            above = cols > cols[:k, None]
+            pairs[(plus[i0:i0 + k, None] + cols)[above], 0] = a[above]
+            pairs[(mirror[i0:i0 + k, None] + cols)[above], 0] = \
+                a[above].conj()
+            pairs[minus[i0:i0 + k, None] + cols, 0] = b.conj()
+            # (T^T T)[j, i] = (T^T T)[i, j] for the columns j after the
+            # block
+            pairs[minus[i0 + k:, None] + cols[:k], 0] = b[:, k:].T.conj()
+        a[:, :k][np.tri(k, dtype=bool)] = 0.0
+        b[:, :k][np.tri(k, k=-1, dtype=bool)] = 0.0
+        # b's diagonal, counted 4 times with b, stands for 2 pairs
+        for x, per_entry in ((a, 4.0), (b, 4.0), (np.diagonal(b), -2.0)):
+            mags = np.abs(x)
+            mu = max(mu, float(mags.max()))
+            total += per_entry * float(np.square(mags, out=mags).sum())
+    out = {"mu": weight * mu,
+           "gram_offdiag_mean_sq": weight ** 2 * total / (n * (n - 1)),
+           "distinct_values": None}
+    if census:
+        if real:
+            pairs[:, 0] *= weight
+        pairs[:, 1] = pairs[:, 0].conj()
+        reps, counts = cluster_complex(pairs.ravel())
+        out["distinct_values"] = list(zip(reps.tolist(), counts.tolist()))
+    return out
+
+
 def coherence_bruteforce(cf: ComplexFrame, census: bool = True) -> dict:
     """Gram oracle: coherence, mean squared off-diagonal, and the census
     of distinct inner products (ordered pairs i != j).
@@ -359,19 +443,20 @@ def coherence_bruteforce(cf: ComplexFrame, census: bool = True) -> dict:
     The Gram matrix is Hermitian, so only its strict upper triangle is
     formed, _GRAM_ROWS rows at a time, and each block is reduced while it
     is in cache; the census clusters the upper-triangle values with their
-    conjugates, which stand for the pairs below the diagonal.  The Gram
-    of a conjugate-halves factor Q is 2 Q^T Q: doubling is exact, so mu,
-    the mean square and the census values are scaled once, at the end.
-    Pass census=False to skip the distinct-value clustering, which
-    dominates the cost on large sweeps; mu and the mean square are
-    unaffected.
+    conjugates, which stand for the pairs below the diagonal.  A frame
+    with paired columns forms only the blocks of T^H T and T^T T, and
+    the row of column 0, each entry standing for its pairs.  Pass
+    census=False to skip the distinct-value clustering, which dominates
+    the cost on large sweeps; mu and the mean square are unaffected.
     """
     _require_normalized(cf)
-    n = cf.entries.shape[1]
+    n = cf.n_cols
     if n > BRUTE_CAP:
         raise ResourceCap(f"brute force capped at {BRUTE_CAP} columns")
     if n < 2:
         raise BadShape("need at least two columns")
+    if cf.paired_columns:
+        return _paired_bruteforce(cf.entries, census)
     mu, total, upper = 0.0, 0.0, []
     for block in _upper_blocks(cf.entries):
         rows = block.shape[0]
@@ -384,10 +469,9 @@ def coherence_bruteforce(cf: ComplexFrame, census: bool = True) -> dict:
         if census:
             cols = np.arange(block.shape[1])
             upper.append(block[cols > cols[:rows, None]])
-    weight = 2.0 if cf.conjugate_halves else 1.0
     out = {
-        "mu": weight * mu,
-        "gram_offdiag_mean_sq": 2.0 * weight ** 2 * total / (n * (n - 1)),
+        "mu": mu,
+        "gram_offdiag_mean_sq": 2.0 * total / (n * (n - 1)),
         "distinct_values": None,
     }
     if census:
@@ -395,8 +479,6 @@ def coherence_bruteforce(cf: ComplexFrame, census: bool = True) -> dict:
         # the full off-diagonal: a sign frame's census at n = 4096 sorted
         # 1.5x slower as all the values followed by all the conjugates
         upper = np.concatenate(upper)
-        if cf.conjugate_halves:
-            upper *= weight
         reps, counts = cluster_complex(
             np.stack((upper, upper.conj()), axis=1).ravel())
         out["distinct_values"] = list(zip(reps.tolist(), counts.tolist()))
@@ -406,53 +488,65 @@ def coherence_bruteforce(cf: ComplexFrame, census: bool = True) -> dict:
 def average_coherence(cf: ComplexFrame) -> float:
     """nu = max_i |sum_{j != i} <f_i, f_j>| / (n - 1)."""
     _require_normalized(cf)
-    n = cf.entries.shape[1]
+    n = cf.n_cols
     if n < 2:
         raise BadShape("need at least two columns")
-    s = cf.entries.sum(axis=1)
-    # the conjugates of the row sums, without a conjugate copy of the
-    # matrix; the moduli are the same bits.  The Gram of a
-    # conjugate-halves factor Q is 2 Q^T Q
-    row_sums = cf.entries.T @ s.conj()
-    if cf.conjugate_halves:
-        row_sums *= 2.0
+    t = cf.entries
+    if not cf.paired_columns:
+        # the conjugates of the row sums, without a conjugate copy of the
+        # matrix; the moduli are the same bits
+        row_sums = t.T @ t.sum(axis=1).conj()
+    else:
+        # s = F 1 = 1/sqrt(m) + 2 Re(T) 1 is real, so the Gram's row sums
+        # are 1^T s / sqrt(m), T^H s and its conjugate T^T s, whose moduli
+        # less 1 are the same; the real [C; S] stands for [T1; conj(T1)],
+        # so s is twice over s1 = 1/sqrt(m) + 2 C 1 and T^T s = 2 C^T s1
+        col0 = 1.0 / np.sqrt(len(t))
+        if np.iscomplexobj(t):
+            s = col0 + 2.0 * t.real.sum(axis=1)
+            row_sums = np.append(col0 * s.sum(), t.T @ s)
+        else:
+            c = np.split(t, 2)[0]
+            s = col0 + 2.0 * c.sum(axis=1)
+            row_sums = 2.0 * np.append(col0 * s.sum(), c.T @ s)
     return float(np.max(np.abs(row_sums - 1.0)) / (n - 1))
 
 
-def _conjugate_halves_residual(q: np.ndarray, n_over_m: float) -> float:
-    # F = [T; conj(T)] with T = C + iS and q = [C; S]: for a, b < h = m/2,
-    # (FF*)[a, b] = (CC^T + SS^T) + i(SC^T - CS^T) and (FF*)[a, b + h] =
-    # (CC^T - SS^T) + i(SC^T + CS^T), and the other two quadrants are
-    # their conjugates.  Both are Hermitian or symmetric, so their moduli
-    # are formed for b >= a0 only, a block of rows a0 <= a < a1 at a time:
-    # two products of that block's [C; S] rows give all four of CC^T,
-    # SC^T, CS^T and SS^T.  The largest squared modulus is kept, and its
-    # root taken once: np.hypot took 10x the time of the squares
-    h = len(q) // 2
-    c, s = q[:h], q[h:]
+def _paired_residual(t: np.ndarray, n_over_m: float) -> float:
+    # FF* = (1/m) 1 1^T + T T^H + conj(T T^H) = 1/m + 2 Re(T T^H), real
+    # symmetric, formed for rows b >= a only, a block of rows a0 <= a < a1
+    # at a time.  Re(T T^H) = C C^T + S S^T for T = C + iS: one product
+    # of the m x 2h float64 view of T, its parts interleaved.  For the
+    # real [C; S] of T = [T1; conj(T1)], the quadrants of FF* are
+    # 1/m + 2(CC^T + SS^T) at (a, b) and (a + m/2, b + m/2), and
+    # 1/m + 2(CC^T - SS^T) off them
+    m = len(t)
+    if np.iscomplexobj(t):
+        w = np.ascontiguousarray(t).view(np.float64)
+        quadrants = ([block] for block in _upper_blocks(w.T))
+    else:
+        quadrants = _sum_and_difference(*(half.T for half in np.split(t, 2)))
     worst = 0.0
-    for a0 in range(0, h, _GRAM_ROWS):
-        a1 = a0 + _GRAM_ROWS
-        rows = np.concatenate((c[a0:a1], s[a0:a1]))
-        (cc, sc), (cs, ss) = (np.split(rows @ y[a0:].T, 2) for y in (c, s))
-        same = cc + ss
-        diag = np.arange(len(same))
-        same[diag, diag] -= n_over_m
-        for re, im in ((same, sc - cs), (cc - ss, sc + cs)):
-            worst = max(worst, float((re * re + im * im).max()))
-    return math.sqrt(worst)
+    for blocks in quadrants:
+        for block in blocks:
+            block *= 2.0
+            block += 1.0 / m
+        diag = np.arange(len(blocks[0]))
+        blocks[0][diag, diag] -= n_over_m
+        worst = max(worst, *(float(np.abs(block).max()) for block in blocks))
+    return worst
 
 
 def tightness_residual(cf: ComplexFrame) -> float:
     """max |MM* - (n/m) I|; zero(ish) iff the frame is tight.
 
     The blocks of the Gram matrix of M^T are conj(MM*), upper block
-    triangle only, whose entries have the same moduli; a conjugate-halves
-    factor gives the four quadrants of MM* from its two halves."""
+    triangle only, whose entries have the same moduli; a frame with
+    paired columns gives MM* from the products of T's real parts."""
     _require_normalized(cf)
-    m, n = cf.entries.shape
-    if cf.conjugate_halves:
-        return _conjugate_halves_residual(cf.entries, n / m)
+    m, n = len(cf.entries), cf.n_cols
+    if cf.paired_columns:
+        return _paired_residual(cf.entries, n / m)
     worst = 0.0
     for block in _upper_blocks(cf.entries.T):
         diag = np.arange(block.shape[0])

@@ -7,9 +7,12 @@ multipliers a, with w the primitive p-th root of unity.  Choosing the
 multipliers to be the order-m subgroup of the unit group gives the group
 frames; choosing them at random gives the seeded baselines.  Entries are
 stored as exponents of w, whatever the construction, and materialized
-only for the dense checks, as a real factor where the Gram matrix is
-real: every CSV, the complex one too, is written from the exponents (a
-Hadamard sign row is w**exps = 1 - 2 exps).
+only for the dense checks: every CSV, the complex one too, is written
+from the exponents (a Hadamard sign row is w**exps = 1 - 2 exps).  Each
+row is an additive character, so for odd p the column of -x conjugates
+the column of x, and the dense checks read only the columns of x = g**j,
+j < (n-1)/2; where the rows pair as well (m even, -1 a multiplier), they
+read a real factor of those.
 """
 
 from __future__ import annotations
@@ -64,13 +67,25 @@ class ExponentFrame:
 class ComplexFrame:
     """The dense kernels' matrix; columns have unit norm when normalized.
 
-    With conjugate_halves set, entries is the real m x n factor [C; S] of
-    a frame F = [T; conj(T)] whose bottom half conjugates its top half
-    T = C + iS, and F^H F = 2 entries^T entries."""
+    With paired_columns set, the frame is F = [1/sqrt(m), T, conj(T)] by
+    columns, n = 2h + 1 for T of width h: its column 0 is constant and
+    its last h columns conjugate the h before them, so entries holds T
+    alone.  entries is T itself when complex; when real, the rows pair
+    too, T = [T1; conj(T1)], and entries is [Re T1; Im T1], m x h."""
 
     entries: np.ndarray = field(repr=False)
     normalized: bool
-    conjugate_halves: bool = False
+    paired_columns: bool = False
+
+    def __post_init__(self):
+        if (self.paired_columns and not np.iscomplexobj(self.entries)
+                and len(self.entries) % 2):
+            raise BadShape("a real factor of paired rows needs m even")
+
+    @property
+    def n_cols(self) -> int:
+        width = self.entries.shape[1]
+        return 2 * width + 1 if self.paired_columns else width
 
 
 def roots_of_unity(p: int) -> np.ndarray:
@@ -252,59 +267,57 @@ def _entry_values(frame: ExponentFrame, normalize: bool = True):
     return roots / np.sqrt(frame.m_rows) if normalize else roots
 
 
-# cells per block of the conjugate-halves check in materialize
+# cells per block of the conjugate-halves checks in materialize
 _HALVES_BLOCK = 2 ** 16
 
 
-def _conjugate_halves(frame: ExponentFrame) -> bool:
-    """Whether the odd-p frame's rows m/2..m-1 are its rows 0..m/2-1
-    negated mod p, cell for cell, compared a block of rows at a time in
-    the exponents' own dtype.  Every subgroup frame with m even is laid
-    out so: its members g**(kappa i) run in power order, and -1 being
-    g**(kappa m/2), -a_i = a_(i + m/2)."""
-    p, m, n = frame.p, frame.m_rows, frame.n_cols
-    if p == 2 or m % 2:
-        return False
-    h = m // 2
-    exps = frame.exps
-    negated = ((p - np.arange(p)) % p).astype(exps.dtype)
-    rows = max(1, _HALVES_BLOCK // n)
-    for i0 in range(0, h, rows):
-        i1 = min(i0 + rows, h)
-        if not np.array_equal(np.take(negated, exps[i0:i1]),
-                              exps[h + i0:h + i1]):
-            return False
-    return True
+def _negates(top: np.ndarray, bottom: np.ndarray, p: int) -> bool:
+    """Whether bottom is top negated mod p, cell for cell, compared a
+    block of rows at a time in the exponents' own dtype."""
+    negated = ((p - np.arange(p)) % p).astype(top.dtype)
+    rows = max(1, _HALVES_BLOCK // top.shape[1])
+    return all(np.array_equal(np.take(negated, top[i:i + rows]),
+                              bottom[i:i + rows])
+               for i in range(0, len(top), rows))
 
 
 def materialize(frame: ExponentFrame) -> ComplexFrame:
     """The dense kernels' matrix: the entries w**exps over sqrt(m), whose
-    columns have unit norm.
+    columns have unit norm, decided from the cells alone.
 
-    Where the Gram matrix F^H F is real, entries is a real m x n factor
-    of it, in the bits of the complex entries' parts, and F is never
-    formed.  For p = 2 that is F itself, the signs over sqrt(m).  For
-    odd p whose bottom half of rows negates the top half T, cell for cell
-    (every subgroup frame with m even, -1 being a member), the bottom half
-    is conj(T), and entries = [Re T; Im T] with conjugate_halves set:
-    F^H F = T^H T + conj(T^H T) = 2 Re(T^H T).  Every other frame is the
-    complex matrix.
+    For p = 2 it is the signs over sqrt(m), real.  For odd p, column 0
+    holds x = 0 and column j + h the negation of column j's x, h being
+    (n-1)/2, -1 = g**h: every row being a character, e_a(-x) = conj(e_a(x))
+    and the cells negate.  Where they do, and column 0 is all zeros, the
+    frame is [1/sqrt(m), T, conj(T)], and entries is T = the columns
+    1..h, with paired_columns set.  Where T's bottom half of rows also
+    negates its top half T1 (every subgroup frame with m even: its members
+    g**(kappa i) run in power order and -1 = g**(kappa m/2)), entries is
+    the real [Re T1; Im T1].  Every other frame (a bare CSV cut to fewer
+    columns, a changed cell) is the complex m x n matrix.
     """
     if not isinstance(frame, ExponentFrame):
         raise BadShape(f"cannot materialize {type(frame).__name__}")
-    _check_cells(frame.m_rows, frame.n_cols, COMPLEX_CELL_CAP)
+    p, m, n, exps = frame.p, frame.m_rows, frame.n_cols, frame.exps
+    _check_cells(m, n, COMPLEX_CELL_CAP)
     values = _entry_values(frame)
-    if frame.p == 2:
-        return ComplexFrame(values.real[frame.exps], normalized=True)
-    if not _conjugate_halves(frame):
-        return ComplexFrame(values[frame.exps], normalized=True)
-    h = frame.m_rows // 2
-    q = np.empty(frame.exps.shape)
+    if p == 2:
+        return ComplexFrame(values.real[exps], normalized=True)
+    h = n // 2
+    top = exps[:, 1:1 + h]
+    if not (n % 2 and h and not exps[:, 0].any()
+            and _negates(top, exps[:, 1 + h:], p)):
+        return ComplexFrame(values[exps], normalized=True)
+    half = m // 2
+    if m % 2 or not _negates(top[:half], top[half:], p):
+        return ComplexFrame(values[top], normalized=True,
+                            paired_columns=True)
+    q = np.empty((m, h))
     # the exponents lie in [0, p): a take that need not check them writes
     # straight into q
-    np.take(values.real, frame.exps[:h], out=q[:h], mode="clip")
-    np.take(values.imag, frame.exps[:h], out=q[h:], mode="clip")
-    return ComplexFrame(q, normalized=True, conjugate_halves=True)
+    np.take(values.real, top[:half], out=q[:half], mode="clip")
+    np.take(values.imag, top[:half], out=q[half:], mode="clip")
+    return ComplexFrame(q, normalized=True, paired_columns=True)
 
 
 # ---------------------------------------------------------------------------

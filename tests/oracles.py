@@ -13,9 +13,9 @@ from their logs, the SL2 class sums from the transform of the subgroup
 as a list, the SL2 census from the cosets of the subgroup as 0/1 rows,
 the Sylvester row labels bit by bit, and the census clustering by full
 re-sorts of every group on every pass.  The dense kernels are checked
-against the full-matrix products the package once used, cli._divisors
-against trial division, and the CSV byte kernel against the per-row %d
-and %.17g writers.
+against the full-matrix products the package once used, on a frame's
+whole complex matrix, cli._divisors against trial division, and the CSV
+byte kernel against the per-row %d and %.17g writers.
 """
 
 import math
@@ -31,7 +31,7 @@ from groupframes.coherence import (
     welch_bound,
 )
 from groupframes.errors import BadShape, ResourceCap
-from groupframes.frames import roots_of_unity
+from groupframes.frames import ComplexFrame, roots_of_unity
 from groupframes.gf import build_field, is_prime
 from groupframes.sl2 import Q_CAP
 
@@ -254,6 +254,13 @@ def cluster_complex_resort(values, weights=None, tol=CLUSTER_TOL):
     reps = sums / counts.astype(np.float64)
     order = np.lexsort((np.round(reps.imag / tol), np.round(reps.real / tol)))
     return reps[order], counts[order]
+
+
+def complex_oracle_frame(frame):
+    """The exponent frame's complex matrix w**exps / sqrt(m), whole, as
+    the full-matrix oracles take it."""
+    return ComplexFrame(roots_of_unity(frame.p)[frame.exps]
+                        / np.sqrt(frame.m_rows), normalized=True)
 
 
 def coherence_bruteforce(cf, census=True):

@@ -367,6 +367,10 @@ def test_bruteforce_guards():
                        / np.sqrt(2), normalized=True)
     with pytest.raises(BadShape):
         coherence_bruteforce(one)
+    # a real factor of paired rows [Re T1; Im T1] has an even row count
+    with pytest.raises(BadShape):
+        ComplexFrame(entries=np.ones((3, 2)), normalized=True,
+                     paired_columns=True)
 
 
 def test_tightness_residual():
@@ -387,16 +391,18 @@ def _unit_columns(m, n, seed):
 def test_blocked_dense_kernels_match_full_gram_oracles():
     # the Gram and frame-operator blocks against the full products: n on
     # both sides of the 128-row block edge, a sign frame without
-    # structure, and Gram censuses of two random baselines
+    # structure, and Gram censuses of two random baselines, each odd-p
+    # frame as its whole complex matrix
     frames = [(_unit_columns(5, n, n), True)
               for n in (2, 50, 127, 128, 129, 257)]
-    frames += [(materialize(build_field_frame(3, 7, 1093)), False),
+    frames += [(oracles.complex_oracle_frame(build_field_frame(3, 7, 1093)),
+                False),
                (materialize(build_field_frame(2, 1, 1)), True),
                (materialize(build_hadamard_frame(8, 51)), True),
-               (materialize(build_random_exponent_frame(3, 5, 11, seed=4)),
-                True),
-               (materialize(build_random_exponent_frame(7, 3, 57, seed=2)),
-                True)]
+               (oracles.complex_oracle_frame(
+                   build_random_exponent_frame(3, 5, 11, seed=4)), True),
+               (oracles.complex_oracle_frame(
+                   build_random_exponent_frame(7, 3, 57, seed=2)), True)]
     for cf, census in frames:
         got = coherence_bruteforce(cf, census=census)
         want = oracles.coherence_bruteforce(cf, census=census)
@@ -416,23 +422,15 @@ def test_blocked_dense_kernels_match_full_gram_oracles():
             assert got["distinct_values"] is None
 
 
-def _complex_oracle_frame(frame):
-    # the frame's complex matrix, as the full-matrix oracles take it
-    return ComplexFrame(roots_of_unity(frame.p)[frame.exps]
-                        / np.sqrt(frame.m_rows), normalized=True)
-
-
-def _real_gram_frames():
-    """Every subgroup frame with m even or p = 2 and n <= 256, a Hadamard
-    frame, and GF(3^7) with m = 2186."""
+def _subgroup_frames(limit, keep):
+    """Every subgroup frame (p, r, m) with n <= limit that keep admits."""
     frames = []
-    for p, r in _fields(256):
+    for p, r in _fields(limit):
         ctx = build_field(p, r)
         frames += [build_field_frame(p, r, m, ctx=ctx)
                    for m in oracles.divisors_by_trial(ctx.n - 1)
-                   if m % 2 == 0 or p == 2]
-    return frames + [build_hadamard_frame(8, 51),
-                     build_field_frame(3, 7, 2186)]
+                   if keep(p, m)]
+    return frames
 
 
 def _assert_dense_kernels_match_oracles(cf, full, census=False):
@@ -446,6 +444,7 @@ def _assert_dense_kernels_match_oracles(cf, full, census=False):
     # both sides are such rounding errors and |got - want| <= max(got,
     # want) stays within the bound
     m, n = full.entries.shape
+    assert cf.n_cols == n
     got = coherence_bruteforce(cf, census=census)
     want = oracles.coherence_bruteforce(full, census=census)
     assert abs(got["mu"] - want["mu"]) <= 1e-14
@@ -466,29 +465,92 @@ def _assert_dense_kernels_match_oracles(cf, full, census=False):
 
 def _assert_materialized_matches_oracles(frame, census=False):
     cf = materialize(frame)
-    _assert_dense_kernels_match_oracles(cf, _complex_oracle_frame(frame),
-                                        census=census)
+    _assert_dense_kernels_match_oracles(
+        cf, oracles.complex_oracle_frame(frame), census=census)
     return cf
 
 
+def _assert_paired(cf, frame):
+    # the columns 1..h of an odd-p frame, real where the rows pair too:
+    # a subgroup frame with m even
+    m, n = frame.exps.shape
+    assert cf.paired_columns
+    assert cf.entries.shape == (m, (n - 1) // 2)
+    real = m % 2 == 0 and frame.kappa is not None
+    assert cf.entries.dtype == (np.float64 if real else np.complex128)
+
+
 def test_real_gram_route_matches_full_matrix_oracles():
-    # where the Gram matrix is real (p = 2, or m even with the bottom half
-    # of rows negating the top half) the dense kernels run on a real
-    # m x n factor; frames without that layout stay complex
-    frames = _real_gram_frames()
+    # where the Gram matrix is real (p = 2, or odd p with m even, the
+    # bottom half of rows negating the top half) the dense kernels run on
+    # a real factor: the signs for p = 2, and for odd p the columns
+    # 1..(n-1)/2 of the top half of rows.  Every odd-p frame pairs its
+    # columns, so the random baselines read those columns, complex
+    frames = _subgroup_frames(256, lambda p, m: m % 2 == 0 or p == 2)
+    frames += [build_hadamard_frame(8, 51), build_field_frame(3, 7, 2186)]
     assert len(frames) > 300
     for frame in frames:
         cf = _assert_materialized_matches_oracles(frame)
-        assert cf.entries.dtype == np.float64
-        assert cf.entries.shape == frame.exps.shape
-        assert cf.conjugate_halves == (frame.p != 2)
+        if frame.p == 2:
+            assert cf.entries.dtype == np.float64
+            assert cf.entries.shape == frame.exps.shape
+            assert not cf.paired_columns
+        else:
+            _assert_paired(cf, frame)
     for frame in (build_field_frame(3, 3, 13), build_field_frame(7, 2, 3),
                   build_random_exponent_frame(3, 5, 12, seed=4),
                   build_random_exponent_frame(5, 3, 62, seed=1)):
-        cf = materialize(frame)
+        cf = _assert_materialized_matches_oracles(frame)
         assert cf.entries.dtype == np.complex128
-        assert cf.entries.shape == frame.exps.shape
-        assert not cf.conjugate_halves
+        assert cf.entries.shape == (frame.m_rows, frame.n_cols // 2)
+        assert cf.paired_columns
+
+
+def test_paired_columns_route_matches_full_matrix_oracles():
+    # every odd-p subgroup frame with m odd and n <= 256, and GF(3^7) with
+    # m = 1093: the dense kernels read the complex columns 1..h alone
+    frames = _subgroup_frames(256, lambda p, m: p != 2 and m % 2)
+    frames.append(build_field_frame(3, 7, 1093))
+    assert len(frames) > 100
+    for frame in frames:
+        _assert_paired(_assert_materialized_matches_oracles(frame), frame)
+
+
+def test_paired_columns_census_on_bare_frames():
+    # odd-p frames without multipliers take the Gram census: the paired
+    # blocks give the same counts as the whole Gram, each value within
+    # 1e-14, over every odd-p subgroup frame with n <= 125, GF(3^5) and
+    # the random baselines
+    frames = _subgroup_frames(125, lambda p, m: p != 2)
+    frames += [build_field_frame(3, 5, m) for m in (2, 11, 22, 121, 242)]
+    frames += [build_random_exponent_frame(3, 5, 12, seed=4),
+               build_random_exponent_frame(5, 3, 62, seed=1)]
+    for frame in frames:
+        bare = ExponentFrame(p=frame.p, exps=frame.exps, provenance={})
+        cf = _assert_materialized_matches_oracles(bare, census=True)
+        _assert_paired(cf, frame)
+    rep = analyze(bare, brute="on")
+    assert rep.paths["census_source"] == "gram"
+    assert sum(c for _, c in rep.distinct_values) == rep.n * (rep.n - 1)
+
+
+def test_paired_columns_guards_read_the_whole_width():
+    # GF(4099) with m = 2 is stored as 2 x 2049 cells, and is 4099
+    # columns wide: above BRUTE_CAP for the Gram oracle, while nu and the
+    # tightness residual still run densely
+    frame = build_field_frame(4099, 1, 2)
+    cf = materialize(frame)
+    assert cf.entries.shape == (2, 2049) and cf.n_cols == 4099
+    with pytest.raises(ResourceCap):
+        coherence_bruteforce(cf)
+    rep = analyze(frame, brute="auto")
+    assert "mu_bruteforce" not in rep.paths
+    assert rep.paths["nu_gap"] <= 1e-12
+    assert rep.tightness_residual <= 1e-9
+    full = oracles.complex_oracle_frame(frame)
+    assert abs(rep.nu - oracles.average_coherence(full)) <= 1e-14
+    assert abs(rep.tightness_residual - oracles.tightness_residual(full)) \
+        <= 64 * np.finfo(np.float64).eps * 4099 / 2
 
 
 def test_real_gram_route_census_without_structure():
@@ -497,7 +559,8 @@ def test_real_gram_route_census_without_structure():
     # complex oracle, and the same mu through analyze.  Their first 100
     # columns are not tight, and their Gram rows do not sum to 0 as a
     # whole field's do, so the frame operator's quadrants and the weight
-    # of the row sums are checked too
+    # of the row sums are checked too; 100 columns do not pair, so the
+    # odd-p frame cut to them is the complex m x 100 matrix
     hadamard = build_hadamard_frame(8, 51)
     subgroup = build_field_frame(3, 5, 22)
     for frame in (hadamard, subgroup):
@@ -505,7 +568,9 @@ def test_real_gram_route_census_without_structure():
             bare = ExponentFrame(p=frame.p, exps=frame.exps[:, :cols],
                                  provenance={})
             cf = _assert_materialized_matches_oracles(bare, census=True)
-            assert cf.entries.dtype == np.float64
+            real = frame.p == 2 or cols == frame.n_cols
+            assert cf.entries.dtype == (np.float64 if real
+                                        else np.complex128)
             rep = analyze(bare, brute="on")
             assert rep.paths["census_source"] == "gram"
             assert sum(c for _, c in rep.distinct_values) == cols * (cols - 1)
@@ -515,42 +580,72 @@ def test_real_gram_route_census_without_structure():
                    - analyze(frame, brute="off").mu) <= 1e-14
 
 
+def _paired_frame(t):
+    # [1/sqrt(m), T, conj(T)] by columns, for T with unit columns
+    m = len(t)
+    return np.hstack((np.full((m, 1), 1 / np.sqrt(m)), t, t.conj()))
+
+
 def test_conjugate_halves_kernels_on_random_factors():
-    # F = [T; conj(T)] for random T = C + iS, whose frame operator has no
-    # zero quadrant and whose Gram rows do not sum to 0, and for T = [t;
-    # it] with unimodular t, whose largest entry of FF* - (n/m) I is the
-    # imaginary <t, it> = -i n/4 of the top-left quadrant
+    # paired columns [1/sqrt(m), T, conj(T)] for random complex T, and for
+    # T = [T1; conj(T1)] held as the real [Re T1; Im T1]: frame operators
+    # with no zero quadrant, Gram rows that do not sum to 0, widths on
+    # both sides of the 128-column block edge.  T1 = [t; it] with
+    # unimodular t cancels the quadrants of FF* on its diagonal to 1/m off
+    # their diagonals, so that the residual is read from the other two
     rng = np.random.default_rng(0)
-    tops = [rng.standard_normal((h, n)) + 1j * rng.standard_normal((h, n))
-            for h, n in ((1, 7), (2, 9), (3, 130), (150, 257))]
+    shapes = ((1, 7), (2, 9), (3, 130), (5, 128), (150, 257))
+    for rows, width in shapes:
+        t = rng.standard_normal((rows, width)) \
+            + 1j * rng.standard_normal((rows, width))
+        t /= np.linalg.norm(t, axis=0)
+        cf = ComplexFrame(entries=t, normalized=True, paired_columns=True)
+        _assert_dense_kernels_match_oracles(
+            cf, ComplexFrame(entries=_paired_frame(t), normalized=True),
+            census=True)
     t = np.exp(2j * np.pi * rng.random(64))
+    tops = [rng.standard_normal((h, n)) + 1j * rng.standard_normal((h, n))
+            for h, n in shapes]
     tops.append(np.vstack((t, 1j * t)))
     for top in tops:
-        full = np.vstack((top, top.conj()))
-        norms = np.linalg.norm(full, axis=0)
-        cf = ComplexFrame(entries=np.vstack((top.real, top.imag)) / norms,
-                          normalized=True, conjugate_halves=True)
+        whole = np.vstack((top, top.conj()))
+        whole /= np.linalg.norm(whole, axis=0)
+        top = whole[:len(top)]
+        cf = ComplexFrame(entries=np.vstack((top.real, top.imag)),
+                          normalized=True, paired_columns=True)
         _assert_dense_kernels_match_oracles(
-            cf, ComplexFrame(entries=full / norms, normalized=True),
+            cf, ComplexFrame(entries=_paired_frame(whole), normalized=True),
             census=True)
 
 
 @pytest.mark.parametrize("block", [None, 500])
 def test_tampered_bottom_half_takes_complex_route(block, monkeypatch):
-    # one bottom-half cell changed: the halves no longer conjugate, so the
-    # frame is materialized complex and still matches the oracles; the
-    # halves are compared a block of rows at a time (500 cells: 2 rows)
+    # a changed cell in column 0, in the columns of -x or in those of x,
+    # and an even-width cut: the columns no longer pair, so the frame is
+    # the complex m x n matrix and still matches the oracles.  A pair of
+    # cells x, -x changed together keeps the columns paired but not the
+    # rows: the complex columns 1..h.  Both halves are compared a block
+    # of rows at a time (500 cells: 4 rows of 121)
     if block is not None:
         monkeypatch.setattr(frames_module, "_HALVES_BLOCK", block)
     frame = build_field_frame(3, 5, 22)
-    assert materialize(frame).conjugate_halves
+    _assert_paired(materialize(frame), frame)
     for row, col in ((11, 0), (21, 242), (15, 100)):
         exps = frame.exps.copy()
         exps[row, col] = (exps[row, col] + 1) % 3
         tampered = ExponentFrame(p=3, exps=exps, provenance={})
         cf = _assert_materialized_matches_oracles(tampered, census=True)
         assert cf.entries.dtype == np.complex128
-        assert not cf.conjugate_halves
+        assert not cf.paired_columns
+    exps = frame.exps.copy()
+    exps[13, 100] = (exps[13, 100] + 1) % 3
+    exps[13, 221] = (3 - exps[13, 100]) % 3
+    tampered = ExponentFrame(p=3, exps=exps, provenance={})
+    cf = _assert_materialized_matches_oracles(tampered, census=True)
+    assert cf.entries.dtype == np.complex128 and cf.paired_columns
+    cut = ExponentFrame(p=3, exps=frame.exps[:, :242], provenance={})
+    cf = _assert_materialized_matches_oracles(cut, census=True)
+    assert cf.entries.shape == (22, 242) and not cf.paired_columns
 
 
 def test_cluster_complex_merges_near_values():

@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 
 from groupframes import frames
-from groupframes.coherence import inner_product_exact
+from groupframes.coherence import (
+    coherence_bruteforce,
+    inner_product_exact,
+    tightness_residual,
+)
 from groupframes.errors import (
     BadShape,
     ContextMismatch,
@@ -34,6 +38,7 @@ from groupframes.frames import (
 from groupframes.gf import build_field, is_prime, subgroup_of_order
 from oracles import (
     complex_csv_per_row,
+    complex_oracle_frame,
     csv_rows_per_row,
     mul,
     sylvester_row_labels,
@@ -378,9 +383,14 @@ def test_too_many_rows():
 def test_full_character_table_is_unitary():
     # drawing all n multipliers gives the complete Fourier matrix
     f = build_random_exponent_frame(5, 1, 5, seed=11)
-    cf = materialize(f)
-    gram = cf.entries.conj().T @ cf.entries
+    full = complex_oracle_frame(f).entries
+    gram = full.conj().T @ full
     assert np.max(np.abs(gram - np.eye(5))) < 1e-12
+    # and so for the dense kernels, which read its columns 1 and 2
+    cf = materialize(f)
+    assert cf.paired_columns
+    assert coherence_bruteforce(cf)["mu"] < 1e-12
+    assert tightness_residual(cf) < 1e-12
 
 
 def complex_csv_entries(frame, path, normalize):
@@ -393,6 +403,9 @@ def complex_csv_entries(frame, path, normalize):
 def test_materialize_norms(tmp_path):
     f = build_field_frame(3, 3, 13)
     cf = materialize(f)
+    # the columns 1..13 that the dense kernels keep: 14..26 conjugate them
+    kept = f.exps[:, 1:14].astype(np.int64)
+    assert cf.paired_columns and cf.n_cols == 27
     norms = np.linalg.norm(cf.entries, axis=0)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
     raw = complex_csv_entries(f, str(tmp_path / "c.csv"), normalize=False)
@@ -401,8 +414,7 @@ def test_materialize_norms(tmp_path):
     # the root table is scaled before the gather: the same division per
     # entry, so the same bits as scaling the gathered matrix
     roots = roots_of_unity(f.p)
-    assert np.array_equal(cf.entries,
-                          roots[f.exps.astype(np.int64)] / np.sqrt(13))
+    assert np.array_equal(cf.entries, roots[kept] / np.sqrt(13))
     assert np.array_equal(raw, roots[f.exps.astype(np.int64)])
 
 
@@ -416,8 +428,8 @@ def test_materialize_hadamard_exact(tmp_path):
 
 def test_inner_product_exact_matches_gram():
     f = build_field_frame(3, 3, 13)
-    cf = materialize(f)
-    gram = cf.entries.conj().T @ cf.entries
+    full = complex_oracle_frame(f).entries
+    gram = full.conj().T @ full
     for i, j in [(0, 1), (3, 17), (26, 2), (5, 5)]:
         assert abs(inner_product_exact(f, i, j) - gram[i, j]) < 1e-12
 
