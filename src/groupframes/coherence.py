@@ -12,7 +12,8 @@ Walsh-Hadamard transform when p = 2: r radix-p passes over a length-n
 array, exact for p = 2, then read in discrete-log order.  The dense
 checks on the materialized matrix and the brute-force Gram path are kept
 as an independent oracle; wherever both routes run, a gap between them
-above ROUTE_TOL is an InvariantViolation.
+above ROUTE_TOL is an InvariantViolation.  A frame without multipliers
+has only the Gram census, one route over the whole Gram's upper triangle.
 """
 
 from __future__ import annotations
@@ -376,18 +377,14 @@ def _paired_blocks(t: np.ndarray):
         yield tb.conj().T @ rest, tb.T @ rest
 
 
-def _paired_bruteforce(t: np.ndarray, census: bool) -> dict:
-    # The Gram of F = [f_0, T, conj(T)] in blocks: <f_0, f_x> = u_x, and
-    # for columns x, y of T, <f_x, f_y> = (T^H T)[x, y] = conj(<f_-x, f_-y>)
-    # and <f_-x, f_y> = (T^T T)[x, y] = conj(<f_x, f_-y>).  So each entry
-    # of u, of T^H T above its diagonal and of T^T T off it stands for 4
-    # ordered pairs, 2 of which take its conjugate, and each diagonal
-    # entry of T^T T (the pairs x, -x) for 2: 4h^2 + 2h = n(n - 1) pairs.
-    # The real [C; S] gives the halves of u and of the blocks, doubled
-    # (exactly) at the end.  The census clusters the values of the generic
-    # route, in its order: the upper triangle row by row over the columns
-    # (0, x_1..x_h, -x_1..-x_h), each beside its conjugate, written in
-    # place
+def _paired_bruteforce(t: np.ndarray) -> dict:
+    # mu and the mean square of F = [f_0, T, conj(T)] in blocks: <f_0, f_x>
+    # = u_x, and for columns x, y of T, <f_x, f_y> = (T^H T)[x, y] =
+    # conj(<f_-x, f_-y>) and <f_-x, f_y> = (T^T T)[x, y] = conj(<f_x, f_-y>).
+    # So each entry of u, of T^H T above its diagonal and of T^T T off it
+    # stands for 4 ordered pairs, and each diagonal entry of T^T T (the
+    # pairs x, -x) for 2: 4h^2 + 2h = n(n - 1) pairs.  The real [C; S]
+    # gives the halves of u and of the blocks, doubled (exactly) at the end
     m, h = t.shape
     n = 2 * h + 1
     real = not np.iscomplexobj(t)
@@ -395,28 +392,8 @@ def _paired_bruteforce(t: np.ndarray, census: bool) -> dict:
     u = (np.split(t, 2)[0] if real else t).sum(axis=0) / np.sqrt(m)
     mags = np.abs(u)
     mu, total = float(mags.max()), 4.0 * float(np.square(mags).sum())
-    if census:
-        pairs = np.empty((n * (n - 1) // 2, 2), dtype=t.dtype)
-        pairs[:2 * h, 0] = np.concatenate((u, u.conj()))
-        # the slot of <f_x_i, f_x_j> (j > i) is plus[i] + j, of
-        # <f_-x_i, f_-x_j> (j > i) mirror[i] + j, and of <f_x_i, f_-x_j>
-        # minus[i] + j, where Gram row r starts at slot r (n-1) - r (r-1)/2
-        rows = np.arange(1, h + 1)
-        plus = rows * (n - 1) - rows * (rows - 1) // 2 - rows
-        minus = plus + h
-        mirror = plus + (n - 1 - rows) * h - h * (h - 1) // 2
-    for i0, (a, b) in zip(range(0, h, _GRAM_ROWS), _paired_blocks(t)):
+    for a, b in _paired_blocks(t):
         k = a.shape[0]
-        cols = np.arange(i0, h)
-        if census:
-            above = cols > cols[:k, None]
-            pairs[(plus[i0:i0 + k, None] + cols)[above], 0] = a[above]
-            pairs[(mirror[i0:i0 + k, None] + cols)[above], 0] = \
-                a[above].conj()
-            pairs[minus[i0:i0 + k, None] + cols, 0] = b.conj()
-            # (T^T T)[j, i] = (T^T T)[i, j] for the columns j after the
-            # block
-            pairs[minus[i0 + k:, None] + cols[:k], 0] = b[:, k:].T.conj()
         a[:, :k][np.tri(k, dtype=bool)] = 0.0
         b[:, :k][np.tri(k, k=-1, dtype=bool)] = 0.0
         # b's diagonal, counted 4 times with b, stands for 2 pairs
@@ -424,16 +401,23 @@ def _paired_bruteforce(t: np.ndarray, census: bool) -> dict:
             mags = np.abs(x)
             mu = max(mu, float(mags.max()))
             total += per_entry * float(np.square(mags, out=mags).sum())
-    out = {"mu": weight * mu,
-           "gram_offdiag_mean_sq": weight ** 2 * total / (n * (n - 1)),
-           "distinct_values": None}
-    if census:
-        if real:
-            pairs[:, 0] *= weight
-        pairs[:, 1] = pairs[:, 0].conj()
-        reps, counts = cluster_complex(pairs.ravel())
-        out["distinct_values"] = list(zip(reps.tolist(), counts.tolist()))
-    return out
+    return {"mu": weight * mu,
+            "gram_offdiag_mean_sq": weight ** 2 * total / (n * (n - 1)),
+            "distinct_values": None}
+
+
+def _whole_matrix(t: np.ndarray) -> np.ndarray:
+    # an m x n matrix with the Gram of the paired frame t, its columns in
+    # the generic order (0, x_1..x_h, -x_1..-x_h): [1/sqrt(m), T, conj(T)],
+    # or for the real [C; S] sqrt(2) [Re F1; Im F1] = sqrt(2) [[c0, C, C],
+    # [0, S, -S]] of the top rows F1, whose Gram 2 Re(F1^H F1) is F^H F
+    m = len(t)
+    if np.iscomplexobj(t):
+        return np.hstack((np.full((m, 1), 1.0 / np.sqrt(m)), t, t.conj()))
+    q = np.sqrt(2.0) * t
+    c, s = np.split(q, 2)
+    col0 = np.repeat([np.sqrt(2.0 / m), 0.0], len(c))[:, None]
+    return np.hstack((col0, q, np.vstack((c, -s))))
 
 
 def coherence_bruteforce(cf: ComplexFrame, census: bool = True) -> dict:
@@ -445,9 +429,10 @@ def coherence_bruteforce(cf: ComplexFrame, census: bool = True) -> dict:
     is in cache; the census clusters the upper-triangle values with their
     conjugates, which stand for the pairs below the diagonal.  A frame
     with paired columns forms only the blocks of T^H T and T^T T, and
-    the row of column 0, each entry standing for its pairs.  Pass
-    census=False to skip the distinct-value clustering, which dominates
-    the cost on large sweeps; mu and the mean square are unaffected.
+    the row of column 0, each entry standing for its pairs; its census
+    runs on _whole_matrix, of the same Gram.  Pass census=False to skip
+    the distinct-value clustering, which dominates the cost on large
+    sweeps; mu and the mean square are unaffected.
     """
     _require_normalized(cf)
     n = cf.n_cols
@@ -455,10 +440,16 @@ def coherence_bruteforce(cf: ComplexFrame, census: bool = True) -> dict:
         raise ResourceCap(f"brute force capped at {BRUTE_CAP} columns")
     if n < 2:
         raise BadShape("need at least two columns")
-    if cf.paired_columns:
-        return _paired_bruteforce(cf.entries, census)
-    mu, total, upper = 0.0, 0.0, []
-    for block in _upper_blocks(cf.entries):
+    if cf.paired_columns and not census:
+        return _paired_bruteforce(cf.entries)
+    a = _whole_matrix(cf.entries) if cf.paired_columns else cf.entries
+    mu, total, filled = 0.0, 0.0, 0
+    if census:
+        # each value beside its conjugate, row by row, near the order of
+        # the full off-diagonal: a sign frame's census at n = 4096 sorted
+        # 1.5x slower as all the values followed by all the conjugates
+        pairs = np.empty((n * (n - 1) // 2, 2), dtype=np.complex128)
+    for block in _upper_blocks(a):
         rows = block.shape[0]
         # the diagonal and what lies below it in the leading square
         lower = np.tri(rows, dtype=bool)
@@ -468,21 +459,16 @@ def coherence_bruteforce(cf: ComplexFrame, census: bool = True) -> dict:
         total += float((mags * mags).sum())
         if census:
             cols = np.arange(block.shape[1])
-            upper.append(block[cols > cols[:rows, None]])
-    out = {
-        "mu": mu,
-        "gram_offdiag_mean_sq": 2.0 * total / (n * (n - 1)),
-        "distinct_values": None,
-    }
+            values = block[cols > cols[:rows, None]]
+            pairs[filled:filled + len(values), 0] = values
+            filled += len(values)
+    distinct = None
     if census:
-        # each value beside its conjugate, row by row, near the order of
-        # the full off-diagonal: a sign frame's census at n = 4096 sorted
-        # 1.5x slower as all the values followed by all the conjugates
-        upper = np.concatenate(upper)
-        reps, counts = cluster_complex(
-            np.stack((upper, upper.conj()), axis=1).ravel())
-        out["distinct_values"] = list(zip(reps.tolist(), counts.tolist()))
-    return out
+        np.conj(pairs[:, 0], out=pairs[:, 1])
+        reps, counts = cluster_complex(pairs.ravel())
+        distinct = list(zip(reps.tolist(), counts.tolist()))
+    return {"mu": mu, "gram_offdiag_mean_sq": 2.0 * total / (n * (n - 1)),
+            "distinct_values": distinct}
 
 
 def average_coherence(cf: ComplexFrame) -> float:

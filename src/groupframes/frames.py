@@ -12,7 +12,8 @@ from the exponents (a Hadamard sign row is w**exps = 1 - 2 exps).  Each
 row is an additive character, so for odd p the column of -x conjugates
 the column of x, and the dense checks read only the columns of x = g**j,
 j < (n-1)/2; where the rows pair as well (m even, -1 a multiplier), they
-read a real factor of those.
+read a real factor of those.  Only the Gram census reads a whole m x n
+matrix, one with the same Gram.
 """
 
 from __future__ import annotations
@@ -45,7 +46,9 @@ RNG_NAME = "numpy.random.default_rng(PCG64)"
 class ExponentFrame:
     """Frame stored as integer exponents of the p-th root of unity; with
     multiplier_values a_i (and ctx) set, row i is x -> Tr(a_i x) over F_q,
-    and kappa is set when the a_i are the subgroup of index kappa."""
+    and kappa is set when the a_i are the subgroup of index kappa.  The
+    checks here take constant time; materialize checks that the cells lie
+    in [0, p)."""
 
     p: int
     exps: np.ndarray = field(repr=False)
@@ -53,6 +56,25 @@ class ExponentFrame:
     ctx: FieldCtx | None = None
     kappa: int | None = None
     multiplier_values: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        exps, ctx, mv = self.exps, self.ctx, self.multiplier_values
+        if not (isinstance(exps, np.ndarray) and exps.ndim == 2
+                and exps.dtype.kind in "iu"):
+            raise BadShape("exps must be a 2-D integer array")
+        if ctx is not None and ctx.p != self.p:
+            raise ContextMismatch(f"context {ctx.ctx_id} is not over "
+                                  f"GF({self.p})")
+        if mv is None:
+            return
+        if len(mv) != self.m_rows:
+            raise BadShape(f"{len(mv)} multipliers for {self.m_rows} rows")
+        if ctx is None or self.n_cols != ctx.n:
+            raise ContextMismatch("multipliers need the field context of "
+                                  "the frame's n columns")
+        if self.kappa is not None and self.kappa * self.m_rows != ctx.n - 1:
+            raise ContextMismatch(f"kappa = {self.kappa} times m = "
+                                  f"{self.m_rows} is not {ctx.n - 1}")
 
     @property
     def m_rows(self) -> int:
@@ -78,6 +100,8 @@ class ComplexFrame:
     paired_columns: bool = False
 
     def __post_init__(self):
+        if np.ndim(self.entries) != 2:
+            raise BadShape("entries must be a 2-D array")
         if (self.paired_columns and not np.iscomplexobj(self.entries)
                 and len(self.entries) % 2):
             raise BadShape("a real factor of paired rows needs m even")
@@ -98,6 +122,17 @@ def roots_of_unity(p: int) -> np.ndarray:
 def _check_cells(m: int, n: int, cap: int):
     if m * n > cap:
         raise ResourceCap(f"{m} x {n} matrix exceeds cell cap {cap}")
+
+
+def _check_range(exps: np.ndarray, p: int, where: str = "") -> None:
+    # one max pass: viewed as unsigned, a negative cell is at least
+    # 2**(bits - 1), past every value the signed type holds
+    cells = exps.view(f"u{exps.dtype.itemsize}")
+    limit = min(p, np.iinfo(exps.dtype).max + 1)
+    if int(cells.max(initial=0)) >= limit:
+        i, j = (int(v) for v in np.argwhere(cells >= limit)[0])
+        raise BadShape(f"{where}exponent at (row {i}, column {j}) is "
+                       f"{int(exps[i, j])}, outside [0, {p})")
 
 
 def _exponent_rows(ctx: FieldCtx, multiplier_values) -> np.ndarray:
@@ -300,6 +335,7 @@ def materialize(frame: ExponentFrame) -> ComplexFrame:
         raise BadShape(f"cannot materialize {type(frame).__name__}")
     p, m, n, exps = frame.p, frame.m_rows, frame.n_cols, frame.exps
     _check_cells(m, n, COMPLEX_CELL_CAP)
+    _check_range(exps, p)
     values = _entry_values(frame)
     if p == 2:
         return ComplexFrame(values.real[exps], normalized=True)
@@ -313,8 +349,8 @@ def materialize(frame: ExponentFrame) -> ComplexFrame:
         return ComplexFrame(values[top], normalized=True,
                             paired_columns=True)
     q = np.empty((m, h))
-    # the exponents lie in [0, p): a take that need not check them writes
-    # straight into q
+    # the exponents lie in [0, p), checked above: a take that need not
+    # check them writes straight into q
     np.take(values.real, top[:half], out=q[:half], mode="clip")
     np.take(values.imag, top[:half], out=q[half:], mode="clip")
     return ComplexFrame(q, normalized=True, paired_columns=True)
@@ -534,11 +570,7 @@ def load_frame(path: str):
     p = _header_int(header, "p", path)
     # the checks build_field makes, also for a frame without "r"
     field_size(p, _header_int(header, "r", path) if "r" in header else 1)
-    bad = np.argwhere((exps < 0) | (exps >= p))
-    if len(bad):
-        i, j = (int(v) for v in bad[0])
-        raise BadShape(f"{path}: exponent at (row {i}, column {j}) is "
-                       f"{int(exps[i, j])}, outside [0, {p})")
+    _check_range(exps, p, f"{path}: ")
     # the report repeats the header as its provenance, so each of these
     # keys the file carries must be what the cells and the field give,
     # compared as JSON text so that true does not pass for 1

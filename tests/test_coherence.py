@@ -592,7 +592,9 @@ def test_conjugate_halves_kernels_on_random_factors():
     # with no zero quadrant, Gram rows that do not sum to 0, widths on
     # both sides of the 128-column block edge.  T1 = [t; it] with
     # unimodular t cancels the quadrants of FF* on its diagonal to 1/m off
-    # their diagonals, so that the residual is read from the other two
+    # their diagonals, so that the residual is read from the other two.
+    # The census of complex paired columns is that of the whole matrix,
+    # value for value and count for count
     rng = np.random.default_rng(0)
     shapes = ((1, 7), (2, 9), (3, 130), (5, 128), (150, 257))
     for rows, width in shapes:
@@ -600,9 +602,10 @@ def test_conjugate_halves_kernels_on_random_factors():
             + 1j * rng.standard_normal((rows, width))
         t /= np.linalg.norm(t, axis=0)
         cf = ComplexFrame(entries=t, normalized=True, paired_columns=True)
-        _assert_dense_kernels_match_oracles(
-            cf, ComplexFrame(entries=_paired_frame(t), normalized=True),
-            census=True)
+        whole = ComplexFrame(entries=_paired_frame(t), normalized=True)
+        _assert_dense_kernels_match_oracles(cf, whole, census=True)
+        assert coherence_bruteforce(cf)["distinct_values"] \
+            == coherence_bruteforce(whole)["distinct_values"]
     t = np.exp(2j * np.pi * rng.random(64))
     tops = [rng.standard_normal((h, n)) + 1j * rng.standard_normal((h, n))
             for h, n in shapes]

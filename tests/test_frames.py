@@ -8,6 +8,7 @@ import pytest
 
 from groupframes import frames
 from groupframes.coherence import (
+    analyze,
     coherence_bruteforce,
     inner_product_exact,
     tightness_residual,
@@ -19,6 +20,7 @@ from groupframes.errors import (
     TooManyRows,
 )
 from groupframes.frames import (
+    ComplexFrame,
     ExponentFrame,
     _draw_multipliers,
     _exponent_rows,
@@ -424,6 +426,77 @@ def test_materialize_hadamard_exact(tmp_path):
     assert np.array_equal(raw.real.astype(np.int8),
                           1 - 2 * sm.exps.astype(np.int8))
     assert np.all(raw.imag == 0)
+
+
+def test_materialize_refuses_negative_cells():
+    # -1 is the residue of 2 mod 3, but a cell outside [0, p) is refused:
+    # the real route's unchecked gather read it as the last root
+    frame = build_field_frame(3, 3, 2)
+    exps = frame.exps.astype(np.int64)
+    col = 1 + int(np.flatnonzero(exps[0, 1:14] == 2)[0])
+    exps[0, col] = -1
+    bare = ExponentFrame(p=3, exps=exps, provenance={})
+    match = rf"\(row 0, column {col}\) is -1, outside \[0, 3\)"
+    with pytest.raises(BadShape, match=match):
+        materialize(bare)
+    with pytest.raises(BadShape, match=match):
+        analyze(bare, brute="on")
+    # a signed dtype too narrow for p: -1 is no longer past p as unsigned
+    narrow = np.zeros((2, 3), dtype=np.int8)
+    narrow[1, 2] = -1
+    with pytest.raises(BadShape, match=r"\(row 1, column 2\) is -1"):
+        materialize(ExponentFrame(p=257, exps=narrow, provenance={}))
+
+
+def test_materialize_refuses_cells_past_p():
+    exps = build_field_frame(3, 3, 13).exps.copy()
+    exps[5, 7] = 3
+    with pytest.raises(BadShape, match=r"\(row 5, column 7\) is 3"):
+        materialize(ExponentFrame(p=3, exps=exps, provenance={}))
+
+
+@pytest.mark.parametrize("shape", [(27,), (1, 1, 27)])
+def test_frame_refuses_exps_not_two_dimensional(shape):
+    with pytest.raises(BadShape, match="2-D integer"):
+        ExponentFrame(p=3, exps=np.zeros(shape, dtype=np.uint8),
+                      provenance={})
+
+
+def test_frame_refuses_float_exps():
+    for dtype in (np.float64, bool):
+        with pytest.raises(BadShape, match="2-D integer"):
+            ExponentFrame(p=3, exps=np.zeros((2, 9), dtype=dtype),
+                          provenance={})
+
+
+def test_complex_frame_refuses_entries_not_two_dimensional():
+    with pytest.raises(BadShape, match="2-D"):
+        coherence_bruteforce(ComplexFrame(np.ones(4) / 2, normalized=True))
+
+
+def test_frame_refuses_multipliers_that_do_not_fit():
+    # each of these would give a report whose m_dim, n or kappa is not
+    # that of the sums over the multipliers
+    f = build_field_frame(3, 2, 4)
+    ctx, mv = f.ctx, f.multiplier_values
+    cases = [
+        (BadShape, "3 multipliers for 2 rows",
+         dict(exps=np.zeros((2, 9), dtype=np.int64), ctx=ctx,
+              multiplier_values=np.array([1, 2, 3]))),
+        (ContextMismatch, "not over GF\\(5\\)",
+         dict(p=5, exps=f.exps, ctx=ctx)),
+        (ContextMismatch, "field context",
+         dict(exps=f.exps[:, :7], ctx=ctx, multiplier_values=mv)),
+        (ContextMismatch, "field context",
+         dict(exps=f.exps, multiplier_values=mv)),
+        (ContextMismatch, "kappa = 3",
+         dict(exps=f.exps, ctx=ctx, kappa=3, multiplier_values=mv)),
+    ]
+    for error, match, kwargs in cases:
+        with pytest.raises(error, match=match):
+            ExponentFrame(**{"p": 3, "provenance": {}, **kwargs})
+    assert ExponentFrame(p=3, exps=f.exps, provenance={}, ctx=ctx,
+                         kappa=2, multiplier_values=mv).m_rows == 4
 
 
 def test_inner_product_exact_matches_gram():
