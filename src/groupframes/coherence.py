@@ -4,16 +4,17 @@ For frames whose columns run over a whole field and whose rows are
 multiplier characters x -> w**Tr(ax), every Gram entry depends only on the
 column difference z = x_j - x_i, so the full inner-product census reduces
 to the n-1 sums c_z = (1/m) sum_a w**Tr(az).  When the multipliers form a
-subgroup A, c is constant on the kappa cosets of A, so the kappa Gauss
-periods are the whole census, and one pass over the trace table gives
-them.  For any other multiplier list the sums are one additive-character
-transform of the multiplier-key histogram over F_q = (Z_p)**r, the
-Walsh-Hadamard transform when p = 2: r radix-p passes over a length-n
-array, exact for p = 2, then read in discrete-log order.  The dense
-checks on the materialized matrix and the brute-force Gram path are kept
-as an independent oracle; wherever both routes run, a gap between them
-above ROUTE_TOL is an InvariantViolation.  A frame without multipliers
-has only the Gram census, one route over the whole Gram's upper triangle.
+subgroup A, in any order, c is constant on the kappa = (n-1)/m cosets of
+A, so the kappa Gauss periods are the whole census, and one pass over the
+trace table gives them.  For any other multiplier list the sums are one
+additive-character transform of the multiplier-key histogram over
+F_q = (Z_p)**r, the Walsh-Hadamard transform when p = 2: r radix-p passes
+over a length-n array, exact for p = 2, then read in discrete-log order.
+The dense checks on the materialized matrix and the brute-force Gram path
+are kept as an independent oracle; wherever both routes run, a gap
+between them above ROUTE_TOL is an InvariantViolation.  A frame without
+multipliers has only the Gram census, one route over the whole Gram's
+upper triangle.
 """
 
 from __future__ import annotations
@@ -272,7 +273,7 @@ def cluster_complex(values, weights=None):
     grid point nearest the representative.  The representative of a
     cluster is the weighted mean of its members, so downstream statistics
     keep full precision.  Weights default to 1 per value; given weights
-    are summed exactly, as Python ints once their total could pass int64.
+    are int64, summed exactly (a frame has n(n-1) < 2.9e14 pairs).
 
     The groups are kept as blocks of one ordering of the values.  After
     the first cut on the real part, a pass sorts only the groups the pass
@@ -327,11 +328,7 @@ def cluster_complex(values, weights=None):
         real, imag = parts
         counts = np.diff(starts, append=size)
     else:
-        w = np.asarray(weights)
-        if w.dtype == object or int(w.max(initial=0)) * size >= 2 ** 63:
-            w = np.array([int(c) for c in w.ravel()], dtype=object)
-        else:
-            w = w.astype(np.int64)
+        w = np.asarray(weights, dtype=np.int64)
         counts = np.add.reduceat(w[order], starts)
         wf = w.astype(np.float64)
         real, imag = parts[0] * wf, parts[1] * wf
@@ -606,7 +603,7 @@ def _census_report(n: int, m_dim: int, mu: float, nu: float,
     # and the property flags; the subgroup index kappa adds the coset-sum
     # bounds, and fields fills in the rest of the report.  scale is a
     # Python int, and the pair counts are Python ints once n(n-1) passes
-    # int64, so they stay exact
+    # int64, so they stay exact; such a census (SL2's) gives its magnitudes
     total = n * (n - 1)
     if int(counts.sum()) * scale != total:
         raise InvariantViolation("census multiplicities do not cover all "
@@ -656,18 +653,19 @@ def analyze(frame, brute: str = "auto",
 
     brute is the verification level.  When the frame carries its
     multiplier structure (multiplier_values is set), mu, nu and the
-    census come from the n-1 character sums, and with brute="off"
-    nothing else runs: no matrix is materialized, and the tightness
-    residual is the exact value that character orthogonality gives, 0
-    for distinct multipliers and n/m when one repeats.  "auto" and "on"
-    add the dense checks on the normalized matrix (nu, the tightness
-    residual, and up to BRUTE_CAP columns the O(n^2 m) Gram oracle for
-    mu; "on" is an error above that cap), and their values are the ones
-    reported.  Frames without multiplier structure (a bare sign CSV, or
-    an exponent CSV without multipliers) need the Gram oracle, so where
-    it cannot run they are refused before any dense work.  Where both
-    routes ran, the gaps are recorded under paths, and a gap above
-    ROUTE_TOL raises InvariantViolation.
+    census come from the n-1 character sums (the kappa coset sums when
+    the multipliers, sorted, are the subgroup of index kappa = (n-1)/m),
+    and with brute="off" nothing else runs: no matrix is materialized,
+    and the tightness residual is the exact value that character
+    orthogonality gives, 0 for distinct multipliers and n/m when one
+    repeats.  "auto" and "on" add the dense checks on the normalized
+    matrix (nu, the tightness residual, and up to BRUTE_CAP columns the
+    O(n^2 m) Gram oracle for mu; "on" is an error above that cap), and
+    their values are the ones reported.  Frames without multiplier
+    structure (a bare sign CSV, or an exponent CSV without multipliers)
+    need the Gram oracle, so where it cannot run they are refused before
+    any dense work.  Where both routes ran, the gaps are recorded under
+    paths, and a gap above ROUTE_TOL raises InvariantViolation.
     """
     if brute not in ("on", "off", "auto"):
         raise BadShape(f"brute must be on/off/auto, got {brute!r}")
@@ -695,15 +693,19 @@ def analyze(frame, brute: str = "auto",
     reps = counts = scale = None
     kappa = fast_mu = fast_nu = tightness = None
     if structured:
-        # c at log z is periodic with period kappa for a subgroup, so its
-        # first period, each value taken by n(n-1)/period ordered pairs,
-        # is the census
-        if frame.kappa is not None:
-            kappa = frame.kappa
-            values = coset_sums(frame.ctx, kappa)
+        # the multipliers are the subgroup of index kappa, every kappa-th
+        # power of g, in any order: c at log z is periodic with period
+        # kappa, so its first period, each value taken by n(n-1)/period
+        # ordered pairs, is the census
+        ctx, mv = frame.ctx, frame.multiplier_values
+        kappa = (n_cols - 1) // m_rows
+        if kappa * m_rows == n_cols - 1 and np.array_equal(
+                np.sort(mv), np.sort(ctx.value_of_exp[::kappa])):
+            values = coset_sums(ctx, kappa)
             paths["census_source"] = "coset-sums"
         else:
-            values = multiplier_sums(frame.ctx, frame.multiplier_values)
+            kappa = None
+            values = multiplier_sums(ctx, mv)
             paths["census_source"] = "multiplier-sums"
         period = len(values)
         fast_mu = float(np.max(np.abs(values)))
@@ -714,7 +716,7 @@ def analyze(frame, brute: str = "auto",
         paths["mu_fast"] = fast_mu
         paths["nu_fast"] = fast_nu
         # (FF*)[a, b] = (1/m) sum_x w**Tr((a - b) x) = (n/m) [a = b]
-        distinct = len(np.unique(frame.multiplier_values)) == m_rows
+        distinct = len(np.unique(mv)) == m_rows
         tightness = 0.0 if distinct else n_cols / m_rows
 
     cf = materialize(frame) if brute != "off" and fits else None

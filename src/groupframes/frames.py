@@ -5,15 +5,16 @@ elements (zero first, then ascending powers of the canonical generator)
 and whose rows are the characters x -> w**Tr(ax) for a chosen list of
 multipliers a, with w the primitive p-th root of unity.  Choosing the
 multipliers to be the order-m subgroup of the unit group gives the group
-frames; choosing them at random gives the seeded baselines.  Entries are
-stored as exponents of w, whatever the construction, and materialized
-only for the dense checks: every CSV, the complex one too, is written
-from the exponents (a Hadamard sign row is w**exps = 1 - 2 exps).  Each
-row is an additive character, so for odd p the column of -x conjugates
-the column of x, and the dense checks read only the columns of x = g**j,
-j < (n-1)/2; where the rows pair as well (m even, -1 a multiplier), they
-read a real factor of those.  Only the Gram census reads a whole m x n
-matrix, one with the same Gram.
+frames; choosing them at random gives the seeded baselines.  A frame
+holds the multipliers alone, not the subgroup they may form, and is
+frozen once checked.  Entries are stored as exponents of w, whatever the
+construction, and materialized only for the dense checks: every CSV, the
+complex one too, is written from the exponents (a Hadamard sign row is
+w**exps = 1 - 2 exps).  Each row is an additive character, so for odd p
+the column of -x conjugates the column of x, and the dense checks read
+only the columns of x = g**j, j < (n-1)/2; where the rows pair as well
+(m even, -1 a multiplier), they read a real factor of those.  Only the
+Gram census reads a whole m x n matrix, one with the same Gram.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import json
 import warnings
 from contextlib import ExitStack
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -42,19 +44,17 @@ COMPLEX_CELL_CAP = 2 ** 26
 RNG_NAME = "numpy.random.default_rng(PCG64)"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExponentFrame:
     """Frame stored as integer exponents of the p-th root of unity; with
-    multiplier_values a_i (and ctx) set, row i is x -> Tr(a_i x) over F_q,
-    and kappa is set when the a_i are the subgroup of index kappa.  The
-    checks here take constant time; materialize checks that the cells lie
-    in [0, p)."""
+    multiplier_values a_i (and ctx) set, row i is x -> Tr(a_i x) over F_q.
+    Frozen, so the checks here hold for the frame's life; they take
+    constant time, and materialize checks that the cells lie in [0, p)."""
 
     p: int
     exps: np.ndarray = field(repr=False)
     provenance: dict
     ctx: FieldCtx | None = None
-    kappa: int | None = None
     multiplier_values: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -62,6 +62,11 @@ class ExponentFrame:
         if not (isinstance(exps, np.ndarray) and exps.ndim == 2
                 and exps.dtype.kind in "iu"):
             raise BadShape("exps must be a 2-D integer array")
+        if not isinstance(self.p, Integral):
+            raise NotPrime(f"p = {self.p!r} is not an integer prime")
+        field_size(int(self.p), 1)  # a prime within SIZE_CAP, as in load_frame
+        if self.m_rows < 1:
+            raise BadShape("a frame needs at least one row")
         if ctx is not None and ctx.p != self.p:
             raise ContextMismatch(f"context {ctx.ctx_id} is not over "
                                   f"GF({self.p})")
@@ -72,9 +77,6 @@ class ExponentFrame:
         if ctx is None or self.n_cols != ctx.n:
             raise ContextMismatch("multipliers need the field context of "
                                   "the frame's n columns")
-        if self.kappa is not None and self.kappa * self.m_rows != ctx.n - 1:
-            raise ContextMismatch(f"kappa = {self.kappa} times m = "
-                                  f"{self.m_rows} is not {ctx.n - 1}")
 
     @property
     def m_rows(self) -> int:
@@ -85,7 +87,7 @@ class ExponentFrame:
         return self.exps.shape[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComplexFrame:
     """The dense kernels' matrix; columns have unit norm when normalized.
 
@@ -102,6 +104,8 @@ class ComplexFrame:
     def __post_init__(self):
         if np.ndim(self.entries) != 2:
             raise BadShape("entries must be a 2-D array")
+        if len(self.entries) < 1:
+            raise BadShape("a frame needs at least one row")
         if (self.paired_columns and not np.iscomplexobj(self.entries)
                 and len(self.entries) % 2):
             raise BadShape("a real factor of paired rows needs m even")
@@ -189,7 +193,7 @@ def build_field_frame(p: int, r: int, m: int,
         "row_order": "subgroup-power-order",
     })
     return ExponentFrame(p=p, exps=exps, provenance=prov, ctx=ctx,
-                         kappa=kappa, multiplier_values=members)
+                         multiplier_values=members)
 
 
 def build_harmonic_frame(n: int, m: int) -> ExponentFrame:
@@ -576,7 +580,7 @@ def load_frame(path: str):
     # compared as JSON text so that true does not pass for 1
     repeated = {"m_rows": exps.shape[0], "n_cols": exps.shape[1],
                 "m": exps.shape[0]}
-    ctx = kappa = mv = None
+    ctx = mv = None
     if "r" in header:
         ctx = build_field(p, _header_int(header, "r", path))
         repeated.update(modulus=list(ctx.modulus),
@@ -584,7 +588,7 @@ def load_frame(path: str):
     if ctx is not None and header.get("full_columns"):
         if header.get("construction") in ("field-subgroup", "harmonic",
                                           "hadamard-rows"):
-            kappa, mv = subgroup_of_order(ctx, _header_int(header, "m", path))
+            mv = subgroup_of_order(ctx, _header_int(header, "m", path))[1]
             repeated["multiplier_values"] = mv.tolist()
         elif "multiplier_values" in header:
             mv = header["multiplier_values"]
@@ -599,6 +603,5 @@ def load_frame(path: str):
         if key in header and json.dumps(header[key]) != json.dumps(want):
             raise ContextMismatch(f"{path}: header {key} does not match "
                                   f"the stored frame and its field")
-    return ExponentFrame(
-        p=p, exps=exps, provenance=header, ctx=ctx, kappa=kappa,
-        multiplier_values=mv)
+    return ExponentFrame(p=p, exps=exps, provenance=header, ctx=ctx,
+                         multiplier_values=mv)

@@ -105,7 +105,7 @@ def sweep():
         for m in _divisors(n - 1):
             kappa = (n - 1) // m
             fr = build_field_frame(p, r, m, ctx=ctx)
-            cs = coset_sums(ctx, fr.kappa)
+            cs = coset_sums(ctx, kappa)
             mu = float(np.max(np.abs(cs)))
             _, counts = cluster_complex(cs)
             cf = materialize(fr)

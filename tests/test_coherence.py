@@ -476,7 +476,7 @@ def _assert_paired(cf, frame):
     m, n = frame.exps.shape
     assert cf.paired_columns
     assert cf.entries.shape == (m, (n - 1) // 2)
-    real = m % 2 == 0 and frame.kappa is not None
+    real = m % 2 == 0 and "kappa" in frame.provenance
     assert cf.entries.dtype == (np.float64 if real else np.complex128)
 
 
@@ -675,13 +675,6 @@ def test_cluster_complex_merges_across_grid_lines():
     assert [c for _, c in mags] == [7]
 
 
-def test_cluster_complex_exact_large_weights():
-    big = 2 ** 70
-    reps, counts = cluster_complex([0.25, 0.25, 0.5], weights=[big, big, 1])
-    assert counts.tolist() == [2 * big, 1]
-    assert reps.tolist() == [0.25, 0.5]
-
-
 def _cluster_cases():
     # seeded inputs where the passes matter: values on a lattice near the
     # tolerance, so chains cross grid lines and cut in both parts, exact
@@ -703,8 +696,6 @@ def _cluster_cases():
     yield [0.3 - 0.1j], None
     yield [], None
     yield [], []
-    yield np.array([0.25, 0.25 + 2e-10, 0.5, 0.5j]), \
-        [2 ** 70, 2 ** 69, 3, 2 ** 64]
 
 
 def test_cluster_complex_matches_resort_oracle():
@@ -847,19 +838,54 @@ def test_analyze_route_gap_raises(monkeypatch):
             assert analyze(frame, brute="off").mu > 0
 
 
-def test_analyze_takes_subgroup_sums_from_coset_sums(monkeypatch):
+def _spy_census_kernels(monkeypatch):
     calls = {"coset_sums": 0, "multiplier_sums": 0}
     for name in calls:
         def spy(*args, _real=getattr(coherence, name), _name=name):
             calls[_name] += 1
             return _real(*args)
         monkeypatch.setattr(coherence, name, spy)
+    return calls
+
+
+def test_analyze_takes_subgroup_sums_from_coset_sums(monkeypatch):
+    calls = _spy_census_kernels(monkeypatch)
     for frame in (build_field_frame(3, 3, 13), build_hadamard_frame(8, 51),
                   build_harmonic_frame(13, 4)):
         analyze(frame, brute="off")
     assert calls == {"coset_sums": 3, "multiplier_sums": 0}
     analyze(build_random_exponent_frame(3, 3, 13, seed=2), brute="off")
     assert calls == {"coset_sums": 3, "multiplier_sums": 1}
+
+
+def test_analyze_reads_the_subgroup_from_shuffled_multipliers(monkeypatch):
+    # a frame built by hand from the subgroup's members in a shuffled
+    # order, with no index given, is a subgroup frame: it takes the coset
+    # sums, and its report is the built frame's, provenance aside
+    calls = _spy_census_kernels(monkeypatch)
+    rng = np.random.default_rng(5)
+    for p, r, m in [(3, 3, 13), (2, 6, 21), (5, 2, 8), (3, 4, 16)]:
+        built = build_field_frame(p, r, m)
+        ctx = built.ctx
+        mv = subgroup_of_order(ctx, m)[1][rng.permutation(m)]
+        frame = ExponentFrame(p=p, exps=_exponent_rows(ctx, mv),
+                              provenance={}, ctx=ctx, multiplier_values=mv)
+        got, want = (analyze(f, brute="off").to_dict()
+                     for f in (frame, built))
+        got.pop("provenance")
+        want.pop("provenance")
+        assert got == want
+        assert got["kappa"] == (ctx.n - 1) // m
+        assert got["paths"]["census_source"] == "coset-sums"
+    assert calls == {"coset_sums": 8, "multiplier_sums": 0}
+    # m = (n-1)/kappa values that are not the subgroup keep their own
+    # census: the multiplier sums, mu the dense route's
+    f = build_random_exponent_frame(3, 4, 16, 5)
+    rep = analyze(f, brute="auto")
+    assert rep.kappa is None
+    assert rep.paths["census_source"] == "multiplier-sums"
+    assert abs(rep.mu - 0.4507) < 1e-4 and rep.paths["mu_gap"] <= 1e-9
+    assert calls == {"coset_sums": 8, "multiplier_sums": 1}
 
 
 def test_analyze_random_frame_not_tight_label():
@@ -919,13 +945,18 @@ def test_census_report_checks_total():
 
 def test_census_report_exact_past_int64():
     # n(n-1) past 2**63: the pair counts are Python ints, and the mean
-    # square sums the same terms as a Python loop over the census
+    # square sums the same terms as a Python loop over the census.  Such a
+    # census gives its magnitudes, as sl2_report does: cluster_complex
+    # takes int64 weights
     n = 2 ** 40
     values = np.array([0.25 + 0.5j, -1e-3 + 0j, 0.125 + 0j])
     counts = np.array([2 ** 39, 2 ** 38, 2 ** 38 - 1])
-    rep = _census_report(n, 3, 0.6, 0.0, values, counts, n, provenance={})
     pairs = [int(c) * n for c in counts]
+    mags = sorted(zip(np.abs(values).tolist(), pairs))
+    rep = _census_report(n, 3, 0.6, 0.0, values, counts, n,
+                         magnitudes=mags, provenance={})
     assert [c for _, c in rep.distinct_values] == pairs
+    assert rep.distinct_magnitudes == mags
     assert sum(c for _, c in rep.distinct_magnitudes) == n * (n - 1)
     loop = 0.0
     for v, c in zip(values.tolist(), pairs):

@@ -1,5 +1,6 @@
 """Frame construction, materialization, and file round trips."""
 
+import dataclasses
 import json
 import os
 
@@ -16,6 +17,7 @@ from groupframes.coherence import (
 from groupframes.errors import (
     BadShape,
     ContextMismatch,
+    DegreeTooLarge,
     NotPrime,
     TooManyRows,
 )
@@ -133,7 +135,7 @@ def test_field_frame_shape_and_range():
     assert f.exps.shape == (13, 27)
     assert f.exps.min() == 0 and f.exps.max() <= 2
     assert f.provenance["construction"] == "field-subgroup"
-    assert f.provenance["kappa"] == f.kappa == 2
+    assert f.provenance["kappa"] == analyze(f, brute="off").kappa == 2
     assert np.array_equal(f.multiplier_values,
                           subgroup_of_order(f.ctx, 13)[1])
 
@@ -206,7 +208,7 @@ def test_sign_to_exponent_conversion(tmp_path):
     ef = build_field_frame(2, 3, 7)
     assert np.array_equal(sm.exps, ef.exps)
     # m = 7 = 2**3 - 1: the subgroup of index 1
-    assert sm.ctx is not None and sm.kappa == 1
+    assert sm.ctx is not None and sm.provenance["kappa"] == 1
     assert np.array_equal(sm.multiplier_values,
                           subgroup_of_order(sm.ctx, 7)[1])
     path = str(tmp_path / "s.csv")
@@ -475,8 +477,8 @@ def test_complex_frame_refuses_entries_not_two_dimensional():
 
 
 def test_frame_refuses_multipliers_that_do_not_fit():
-    # each of these would give a report whose m_dim, n or kappa is not
-    # that of the sums over the multipliers
+    # each of these would give a report whose m_dim or n is not that of
+    # the sums over the multipliers
     f = build_field_frame(3, 2, 4)
     ctx, mv = f.ctx, f.multiplier_values
     cases = [
@@ -489,14 +491,51 @@ def test_frame_refuses_multipliers_that_do_not_fit():
          dict(exps=f.exps[:, :7], ctx=ctx, multiplier_values=mv)),
         (ContextMismatch, "field context",
          dict(exps=f.exps, multiplier_values=mv)),
-        (ContextMismatch, "kappa = 3",
-         dict(exps=f.exps, ctx=ctx, kappa=3, multiplier_values=mv)),
     ]
     for error, match, kwargs in cases:
         with pytest.raises(error, match=match):
             ExponentFrame(**{"p": 3, "provenance": {}, **kwargs})
     assert ExponentFrame(p=3, exps=f.exps, provenance={}, ctx=ctx,
-                         kappa=2, multiplier_values=mv).m_rows == 4
+                         multiplier_values=mv).m_rows == 4
+
+
+def test_frames_are_frozen():
+    # a field set after the checks would skip them
+    f = build_field_frame(3, 2, 4)
+    cf = materialize(f)
+    for frame, name, value in [(f, "multiplier_values", None),
+                               (f, "exps", f.exps[:1]), (f, "p", 5),
+                               (cf, "normalized", False),
+                               (cf, "entries", cf.entries[:1])]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(frame, name, value)
+
+
+@pytest.mark.parametrize("p", [1, 4, 2 ** 40, 3.0])
+def test_frame_refuses_p_not_prime(p):
+    # p = 2**40 reached the writers and the dense checks, and ran them out
+    # of memory; p = 1 reported mu = 1.0
+    with pytest.raises(NotPrime):
+        ExponentFrame(p=p, exps=np.zeros((2, 9), dtype=np.int64),
+                      provenance={})
+
+
+def test_frame_refuses_p_past_size_cap():
+    # a prime past SIZE_CAP, as load_frame refuses it
+    with pytest.raises(DegreeTooLarge):
+        ExponentFrame(p=2 ** 61 - 1, exps=np.zeros((2, 9), dtype=np.int64),
+                      provenance={})
+
+
+def test_frame_refuses_zero_rows():
+    with pytest.raises(BadShape, match="at least one row"):
+        ExponentFrame(p=3, exps=np.zeros((0, 9), dtype=np.int64),
+                      provenance={})
+
+
+def test_complex_frame_refuses_zero_rows():
+    with pytest.raises(BadShape, match="at least one row"):
+        ComplexFrame(np.zeros((0, 9), dtype=np.complex128), normalized=True)
 
 
 def test_inner_product_exact_matches_gram():
@@ -514,7 +553,9 @@ def test_exponent_csv_round_trip(tmp_path):
     g = load_frame(path)
     assert np.array_equal(g.exps, f.exps)
     assert g.ctx is not None
-    assert g.kappa == 2  # m = 13 in GF(27)
+    # the loaded subgroup keeps its route: m = 13 in GF(27)
+    rep = analyze(g, brute="off")
+    assert rep.kappa == 2 and rep.paths["census_source"] == "coset-sums"
     assert np.array_equal(g.multiplier_values, f.multiplier_values)
 
 
@@ -533,7 +574,7 @@ def test_exponent_csv_without_full_columns_loads_dense(tmp_path):
     g = load_frame(path)
     assert np.array_equal(g.exps, f.exps)
     assert g.ctx is not None
-    assert g.kappa is None and g.multiplier_values is None
+    assert g.multiplier_values is None
 
 
 def test_random_exponent_csv_round_trip(tmp_path):
@@ -642,9 +683,9 @@ def test_tampered_exponents_rejected(tmp_path):
             load_frame(path)
     # header multipliers outside the field
     f = build_random_exponent_frame(3, 3, 13, seed=4)
-    f.multiplier_values = f.multiplier_values.copy()
-    f.multiplier_values[0] = 27
-    save_exponent_csv(f, path)
+    bad = f.multiplier_values.copy()
+    bad[0] = 27
+    save_exponent_csv(dataclasses.replace(f, multiplier_values=bad), path)
     with pytest.raises(BadShape, match="multiplier_values"):
         load_frame(path)
     # a dropped row is a shape mismatch
