@@ -12,9 +12,13 @@ F_q = (Z_p)**r, the Walsh-Hadamard transform when p = 2: r radix-p passes
 over a length-n array, exact for p = 2, then read in discrete-log order.
 The dense checks on the materialized matrix and the brute-force Gram path
 are kept as an independent oracle; wherever both routes run, a gap
-between them above ROUTE_TOL is an InvariantViolation.  A frame without
+between them above ROUTE_TOL is an InvariantViolation.  Where
+materialize proves a subgroup frame's orbit symmetry (ComplexFrame.orbit),
+the dense checks form the Gram rows of columns 0..kappa alone, O(n^2),
+and row 0 of the frame operator, O(mn): a cycle of the rows changes no
+inner product, and the frame operator is circulant.  A frame without
 multipliers has only the Gram census, one route over the whole Gram's
-upper triangle.
+upper triangle, or over those orbit rows, weighted.
 """
 
 from __future__ import annotations
@@ -341,47 +345,53 @@ def cluster_complex(values, weights=None):
     return reps[out], counts[out]
 
 
-def _upper_blocks(a: np.ndarray):
+def _upper_blocks(a: np.ndarray, rows: int | None = None):
     # a[:, i0:i1]^H @ a[:, i0:] for i0 in steps of _GRAM_ROWS: the upper
     # block triangle of the Hermitian a^H a, each block starting with its
     # diagonal square; one block of a is conjugated at a time, and a real
-    # a is not copied (its conj() is itself)
-    for i0 in range(0, a.shape[1], _GRAM_ROWS):
-        yield a[:, i0:i0 + _GRAM_ROWS].conj().T @ a[:, i0:]
+    # a is not copied (its conj() is itself).  With rows set, the one
+    # block a[:, :rows]^H @ a: the orbit rows
+    for i0 in range(0, a.shape[1], _GRAM_ROWS) if rows is None else (0,):
+        yield a[:, i0:i0 + (rows or _GRAM_ROWS)].conj().T @ a[:, i0:]
 
 
-def _sum_and_difference(c: np.ndarray, s: np.ndarray):
+def _sum_and_difference(c: np.ndarray, s: np.ndarray,
+                        rows: int | None = None):
     # the blocks of _upper_blocks for c^T c + s^T s and c^T c - s^T s of
     # the real c and s, from one product of each
-    for cc, ss in zip(_upper_blocks(c), _upper_blocks(s)):
+    for cc, ss in zip(_upper_blocks(c, rows), _upper_blocks(s, rows)):
         diff = cc - ss
         cc += ss
         yield cc, diff
 
 
-def _paired_blocks(t: np.ndarray):
+def _paired_blocks(t: np.ndarray, rows: int | None = None):
     # (A, B) for each block i0 <= i < i1 of _GRAM_ROWS columns of a paired
     # frame's T: A = T_b^H T[:, i0:] and B = T_b^T T[:, i0:], the upper
     # block triangles of T^H T and of the symmetric T^T T.  For the real
     # [C; S] of T = [T1; conj(T1)], T1 = C + iS, T^H T = 2(C^T C + S^T S)
     # and T^T T = 2(C^T C - S^T S): the blocks are of their halves, from
-    # one product of each half of the rows
+    # one product of each half of the rows.  With rows set, the one block
+    # of T's first rows columns against all of T
     if not np.iscomplexobj(t):
-        yield from _sum_and_difference(*np.split(t, 2))
+        yield from _sum_and_difference(*np.split(t, 2), rows=rows)
         return
-    for i0 in range(0, t.shape[1], _GRAM_ROWS):
-        tb, rest = t[:, i0:i0 + _GRAM_ROWS], t[:, i0:]
+    for i0 in range(0, t.shape[1], _GRAM_ROWS) if rows is None else (0,):
+        tb, rest = t[:, i0:i0 + (rows or _GRAM_ROWS)], t[:, i0:]
         yield tb.conj().T @ rest, tb.T @ rest
 
 
-def _paired_bruteforce(t: np.ndarray) -> dict:
+def _paired_bruteforce(t: np.ndarray, orbit: int | None = None) -> dict:
     # mu and the mean square of F = [f_0, T, conj(T)] in blocks: <f_0, f_x>
     # = u_x, and for columns x, y of T, <f_x, f_y> = (T^H T)[x, y] =
     # conj(<f_-x, f_-y>) and <f_-x, f_y> = (T^T T)[x, y] = conj(<f_x, f_-y>).
     # So each entry of u, of T^H T above its diagonal and of T^T T off it
     # stands for 4 ordered pairs, and each diagonal entry of T^T T (the
-    # pairs x, -x) for 2: 4h^2 + 2h = n(n - 1) pairs.  The real [C; S]
-    # gives the halves of u and of the blocks, doubled (exactly) at the end
+    # pairs x, -x) for 2: 4h^2 + 2h = n(n - 1) pairs.  With orbit = kappa
+    # only the rows of T's first kappa columns are formed, each entry off
+    # the diagonal standing for m pairs (coherence_bruteforce), and u,
+    # constant on the orbits, still for 4.  The real [C; S] gives the
+    # halves of u and of the blocks, doubled (exactly) at the end
     m, h = t.shape
     n = 2 * h + 1
     real = not np.iscomplexobj(t)
@@ -389,12 +399,14 @@ def _paired_bruteforce(t: np.ndarray) -> dict:
     u = (np.split(t, 2)[0] if real else t).sum(axis=0) / np.sqrt(m)
     mags = np.abs(u)
     mu, total = float(mags.max()), 4.0 * float(np.square(mags).sum())
-    for a, b in _paired_blocks(t):
+    for a, b in _paired_blocks(t, orbit):
         k = a.shape[0]
-        a[:, :k][np.tri(k, dtype=bool)] = 0.0
-        b[:, :k][np.tri(k, k=-1, dtype=bool)] = 0.0
+        below = np.tri(k, k=-1, dtype=bool) & (orbit is None)
+        a[:, :k][below | np.eye(k, dtype=bool)] = 0.0
+        b[:, :k][below] = 0.0
         # b's diagonal, counted 4 times with b, stands for 2 pairs
-        for x, per_entry in ((a, 4.0), (b, 4.0), (np.diagonal(b), -2.0)):
+        for x, per_entry in (((a, 4.0), (b, 4.0), (np.diagonal(b), -2.0))
+                             if orbit is None else ((a, m), (b, m))):
             mags = np.abs(x)
             mu = max(mu, float(mags.max()))
             total += per_entry * float(np.square(mags, out=mags).sum())
@@ -417,6 +429,27 @@ def _whole_matrix(t: np.ndarray) -> np.ndarray:
     return np.hstack((col0, q, np.vstack((c, -s))))
 
 
+def _orbit_bruteforce(a: np.ndarray, kappa: int, census: bool) -> dict:
+    # the Gram rows of columns 0..kappa of a, off their diagonal: row 0
+    # stands for itself, and row c for the m rows c + j kappa, which hold
+    # the same values in another order; the census clusters them weighted
+    n, m = a.shape[1], (a.shape[1] - 1) // kappa
+    rows = next(_upper_blocks(a, kappa + 1))
+    values = rows[np.arange(kappa + 1)[:, None] != np.arange(n)]
+    mags = np.abs(values)
+    squares = np.square(mags)
+    total = float(squares[:n - 1].sum()) + m * float(squares[n - 1:].sum())
+    distinct = None
+    if census:
+        weights = np.full(len(values), m, dtype=np.int64)
+        weights[:n - 1] = 1
+        reps, counts = cluster_complex(values, weights)
+        distinct = list(zip(reps.tolist(), counts.tolist()))
+    return {"mu": float(mags.max()),
+            "gram_offdiag_mean_sq": total / (n * (n - 1)),
+            "distinct_values": distinct}
+
+
 def coherence_bruteforce(cf: ComplexFrame, census: bool = True) -> dict:
     """Gram oracle: coherence, mean squared off-diagonal, and the census
     of distinct inner products (ordered pairs i != j).
@@ -427,9 +460,15 @@ def coherence_bruteforce(cf: ComplexFrame, census: bool = True) -> dict:
     conjugates, which stand for the pairs below the diagonal.  A frame
     with paired columns forms only the blocks of T^H T and T^T T, and
     the row of column 0, each entry standing for its pairs; its census
-    runs on _whole_matrix, of the same Gram.  Pass census=False to skip
-    the distinct-value clustering, which dominates the cost on large
-    sweeps; mu and the mean square are unaffected.
+    runs on _whole_matrix, of the same Gram.  A frame with orbit = kappa
+    forms only the Gram rows of columns 0..kappa: <f_(c+kappa),
+    f_(d+kappa)> = <f_c, f_d>, since the shift cycles the rows and a sum
+    over the rows does not change, and column 0 is fixed.  So row 0
+    stands for itself and row c for the m rows c + j kappa, with the same
+    values; the census clusters their (kappa + 1)(n - 1) values weighted
+    1 and m.  Pass census=False to skip the distinct-value clustering,
+    which dominates the cost on large sweeps; mu and the mean square are
+    unaffected.
     """
     _require_normalized(cf)
     n = cf.n_cols
@@ -438,8 +477,10 @@ def coherence_bruteforce(cf: ComplexFrame, census: bool = True) -> dict:
     if n < 2:
         raise BadShape("need at least two columns")
     if cf.paired_columns and not census:
-        return _paired_bruteforce(cf.entries)
+        return _paired_bruteforce(cf.entries, cf.orbit)
     a = _whole_matrix(cf.entries) if cf.paired_columns else cf.entries
+    if cf.orbit is not None:
+        return _orbit_bruteforce(a, cf.orbit, census)
     mu, total, filled = 0.0, 0.0, 0
     if census:
         # each value beside its conjugate, row by row, near the order of
@@ -495,7 +536,8 @@ def average_coherence(cf: ComplexFrame) -> float:
     return float(np.max(np.abs(row_sums - 1.0)) / (n - 1))
 
 
-def _paired_residual(t: np.ndarray, n_over_m: float) -> float:
+def _paired_residual(t: np.ndarray, n_over_m: float,
+                     rows: int | None = None) -> float:
     # FF* = (1/m) 1 1^T + T T^H + conj(T T^H) = 1/m + 2 Re(T T^H), real
     # symmetric, formed for rows b >= a only, a block of rows a0 <= a < a1
     # at a time.  Re(T T^H) = C C^T + S S^T for T = C + iS: one product
@@ -506,9 +548,10 @@ def _paired_residual(t: np.ndarray, n_over_m: float) -> float:
     m = len(t)
     if np.iscomplexobj(t):
         w = np.ascontiguousarray(t).view(np.float64)
-        quadrants = ([block] for block in _upper_blocks(w.T))
+        quadrants = ([block] for block in _upper_blocks(w.T, rows))
     else:
-        quadrants = _sum_and_difference(*(half.T for half in np.split(t, 2)))
+        quadrants = _sum_and_difference(*(half.T for half in np.split(t, 2)),
+                                        rows=rows)
     worst = 0.0
     for blocks in quadrants:
         for block in blocks:
@@ -525,13 +568,16 @@ def tightness_residual(cf: ComplexFrame) -> float:
 
     The blocks of the Gram matrix of M^T are conj(MM*), upper block
     triangle only, whose entries have the same moduli; a frame with
-    paired columns gives MM* from the products of T's real parts."""
+    paired columns gives MM* from the products of T's real parts.  With
+    orbit set, only row 0 is formed: the shift x -> g**kappa x permutes
+    the columns and cycles the rows, so MM*[i+1, j+1] = MM*[i, j]."""
     _require_normalized(cf)
     m, n = len(cf.entries), cf.n_cols
+    rows = None if cf.orbit is None else 1
     if cf.paired_columns:
-        return _paired_residual(cf.entries, n / m)
+        return _paired_residual(cf.entries, n / m, rows)
     worst = 0.0
-    for block in _upper_blocks(cf.entries.T):
+    for block in _upper_blocks(cf.entries.T, rows):
         diag = np.arange(block.shape[0])
         block[diag, diag] -= n / m
         worst = max(worst, float(np.abs(block).max()))

@@ -13,8 +13,12 @@ complex one too, is written from the exponents (a Hadamard sign row is
 w**exps = 1 - 2 exps).  Each row is an additive character, so for odd p
 the column of -x conjugates the column of x, and the dense checks read
 only the columns of x = g**j, j < (n-1)/2; where the rows pair as well
-(m even, -1 a multiplier), they read a real factor of those.  Only the
-Gram census reads a whole m x n matrix, one with the same Gram.
+(m even, -1 a multiplier), they read a real factor of those.  A
+subgroup's rows run in power order, so multiplying the columns by
+g**kappa cycles the rows; where the cells prove it, the dense checks
+read the Gram rows of columns 0..kappa and row 0 of the frame operator.
+Only the Gram census reads a whole m x n matrix, one with the same Gram.
+Frames hold read-only arrays.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import json
 import warnings
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -44,12 +47,27 @@ COMPLEX_CELL_CAP = 2 ** 26
 RNG_NAME = "numpy.random.default_rng(PCG64)"
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _hold_read_only(frame, name: str) -> None:
+    # a frame holds read-only arrays: one a caller can still write to is
+    # copied, so that no alias changes the cells after the checks; the
+    # builders hand over arrays already read-only, without a copy
+    a = getattr(frame, name)
+    if a is not None and (not isinstance(a, np.ndarray) or a.flags.writeable):
+        object.__setattr__(frame, name, _read_only(np.array(a)))
+
+
 @dataclass(frozen=True)
 class ExponentFrame:
     """Frame stored as integer exponents of the p-th root of unity; with
     multiplier_values a_i (and ctx) set, row i is x -> Tr(a_i x) over F_q.
-    Frozen, so the checks here hold for the frame's life; they take
-    constant time, and materialize checks that the cells lie in [0, p)."""
+    Frozen, with read-only arrays, so the checks here hold for the frame's
+    life; they take constant time, and materialize checks that the cells
+    lie in [0, p)."""
 
     p: int
     exps: np.ndarray = field(repr=False)
@@ -62,9 +80,10 @@ class ExponentFrame:
         if not (isinstance(exps, np.ndarray) and exps.ndim == 2
                 and exps.dtype.kind in "iu"):
             raise BadShape("exps must be a 2-D integer array")
-        if not isinstance(self.p, Integral):
-            raise NotPrime(f"p = {self.p!r} is not an integer prime")
-        field_size(int(self.p), 1)  # a prime within SIZE_CAP, as in load_frame
+        # a Python int prime within SIZE_CAP, as in load_frame
+        object.__setattr__(self, "p", field_size(self.p, 1))
+        for name in ("exps", "multiplier_values"):
+            _hold_read_only(self, name)
         if self.m_rows < 1:
             raise BadShape("a frame needs at least one row")
         if ctx is not None and ctx.p != self.p:
@@ -95,20 +114,31 @@ class ComplexFrame:
     columns, n = 2h + 1 for T of width h: its column 0 is constant and
     its last h columns conjugate the h before them, so entries holds T
     alone.  entries is T itself when complex; when real, the rows pair
-    too, T = [T1; conj(T1)], and entries is [Re T1; Im T1], m x h."""
+    too, T = [T1; conj(T1)], and entries is [Re T1; Im T1], m x h.
+
+    With orbit = kappa set, m = (n-1)/kappa, column 0 is constant and
+    column 1 + (c + kappa) mod (n-1) is column 1 + c with its rows cycled
+    up by one, whatever the layout.  An inner product sums over the rows,
+    which the cycle leaves unchanged, so the Gram matrix is fixed by a
+    shift of kappa nonzero columns; the shift permutes the columns, so
+    FF*[i+1, j+1] = FF*[i, j]: the frame operator is circulant."""
 
     entries: np.ndarray = field(repr=False)
     normalized: bool
     paired_columns: bool = False
+    orbit: int | None = None
 
     def __post_init__(self):
         if np.ndim(self.entries) != 2:
             raise BadShape("entries must be a 2-D array")
+        _hold_read_only(self, "entries")
         if len(self.entries) < 1:
             raise BadShape("a frame needs at least one row")
         if (self.paired_columns and not np.iscomplexobj(self.entries)
                 and len(self.entries) % 2):
             raise BadShape("a real factor of paired rows needs m even")
+        if self.orbit is not None and not 0 < 2 * self.orbit < self.n_cols:
+            raise BadShape(f"orbit {self.orbit} is not in [1, (n-1)/2]")
 
     @property
     def n_cols(self) -> int:
@@ -157,7 +187,7 @@ def _exponent_rows(ctx: FieldCtx, multiplier_values) -> np.ndarray:
     block = max(1, (2 ** 24) // max(order, 1))
     for i0 in range(0, len(logs), block):
         exps[tgt[i0:i0 + block], 1:] = windows[logs[i0:i0 + block]]
-    return exps
+    return _read_only(exps)
 
 
 def _base_provenance(ctx: FieldCtx) -> dict:
@@ -306,7 +336,7 @@ def _entry_values(frame: ExponentFrame, normalize: bool = True):
     return roots / np.sqrt(frame.m_rows) if normalize else roots
 
 
-# cells per block of the conjugate-halves checks in materialize
+# cells per block of the conjugate-halves and orbit checks in materialize
 _HALVES_BLOCK = 2 ** 16
 
 
@@ -318,6 +348,24 @@ def _negates(top: np.ndarray, bottom: np.ndarray, p: int) -> bool:
     return all(np.array_equal(np.take(negated, top[i:i + rows]),
                               bottom[i:i + rows])
                for i in range(0, len(top), rows))
+
+
+def _orbit(exps: np.ndarray) -> int | None:
+    # kappa = (n-1)/m where column 0 is constant and exps[i, 1 + (c +
+    # kappa) mod (n-1)] == exps[(i + 1) mod m, 1 + c] for every cell, as
+    # for the rows x -> Tr(g**(kappa i) x) of a subgroup, compared a block
+    # of rows at a time; else None, and for m < 4, where the orbit rows
+    # are no fewer than the blocked kernels' (2 kappa h against h**2)
+    m, n = exps.shape
+    kappa = (n - 1) // m
+    if m < 4 or kappa * m != n - 1 or (exps[:, 0] != exps[0, 0]).any():
+        return None
+    e, rows = exps[:, 1:], max(1, _HALVES_BLOCK // n)
+    pairs = [(e[i:min(i + rows, m - 1)], e[i + 1:i + 1 + rows])
+             for i in range(0, m - 1, rows)] + [(e[-1:], e[:1])]
+    return kappa if all(np.array_equal(a[:, kappa:], b[:, :-kappa])
+                        and np.array_equal(a[:, :kappa], b[:, -kappa:])
+                        for a, b in pairs) else None
 
 
 def materialize(frame: ExponentFrame) -> ComplexFrame:
@@ -333,7 +381,9 @@ def materialize(frame: ExponentFrame) -> ComplexFrame:
     negates its top half T1 (every subgroup frame with m even: its members
     g**(kappa i) run in power order and -1 = g**(kappa m/2)), entries is
     the real [Re T1; Im T1].  Every other frame (a bare CSV cut to fewer
-    columns, a changed cell) is the complex m x n matrix.
+    columns, a changed cell) is the complex m x n matrix.  Whatever the
+    layout, orbit is kappa where the cells prove that multiplying the
+    columns by g**kappa cycles the rows (_orbit), else None.
     """
     if not isinstance(frame, ExponentFrame):
         raise BadShape(f"cannot materialize {type(frame).__name__}")
@@ -341,23 +391,24 @@ def materialize(frame: ExponentFrame) -> ComplexFrame:
     _check_cells(m, n, COMPLEX_CELL_CAP)
     _check_range(exps, p)
     values = _entry_values(frame)
-    if p == 2:
-        return ComplexFrame(values.real[exps], normalized=True)
-    h = n // 2
+    h, half = n // 2, m // 2
     top = exps[:, 1:1 + h]
-    if not (n % 2 and h and not exps[:, 0].any()
-            and _negates(top, exps[:, 1 + h:], p)):
-        return ComplexFrame(values[exps], normalized=True)
-    half = m // 2
-    if m % 2 or not _negates(top[:half], top[half:], p):
-        return ComplexFrame(values[top], normalized=True,
-                            paired_columns=True)
-    q = np.empty((m, h))
-    # the exponents lie in [0, p), checked above: a take that need not
-    # check them writes straight into q
-    np.take(values.real, top[:half], out=q[:half], mode="clip")
-    np.take(values.imag, top[:half], out=q[half:], mode="clip")
-    return ComplexFrame(q, normalized=True, paired_columns=True)
+    paired = bool(p != 2 and n % 2 and h and not exps[:, 0].any()
+                  and _negates(top, exps[:, 1 + h:], p))
+    if p == 2:
+        entries = values.real[exps]
+    elif not paired:
+        entries = values[exps]
+    elif m % 2 or not _negates(top[:half], top[half:], p):
+        entries = values[top]
+    else:
+        entries = np.empty((m, h))
+        # the exponents lie in [0, p), checked above: a take that need not
+        # check them writes straight into entries
+        np.take(values.real, top[:half], out=entries[:half], mode="clip")
+        np.take(values.imag, top[:half], out=entries[half:], mode="clip")
+    return ComplexFrame(_read_only(entries), normalized=True,
+                        paired_columns=paired, orbit=_orbit(exps))
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +569,7 @@ def _read_cells(fh, path: str, first_line: int) -> np.ndarray:
             f"{path}: {_first_bad_line(path, first_line) or exc}") from None
     if cells.size == 0:
         raise ValidationError(f"{path}: no frame cells")
-    return cells
+    return _read_only(cells)
 
 
 def _header_int(header: dict, key: str, path: str) -> int:
@@ -557,7 +608,7 @@ def load_frame(path: str):
                     raise BadShape(f"{path}: bare CSV must contain only +-1 "
                                    f"entries")
                 return ExponentFrame(
-                    p=2, exps=((1 - data) // 2).astype(np.uint8),
+                    p=2, exps=_read_only(((1 - data) // 2).astype(np.uint8)),
                     provenance={"construction": "loaded-sign-csv"})
             header = json.loads(first[1:])
             if not isinstance(header, dict):

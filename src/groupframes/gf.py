@@ -18,6 +18,7 @@ values; FieldElem holds a single element's coefficients and value.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -35,8 +36,18 @@ SIZE_CAP = 2 ** 24
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+def _integer(value, name: str, error=BadShape) -> int:
+    # value as a Python int, numpy integers included; else error
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} = {value!r} is not an integer") from None
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond the 2**24 size cap."""
+    """Deterministic Miller-Rabin, valid far beyond the 2**24 size cap;
+    NotPrime for a value that is not an integer."""
+    n = _integer(n, "n", NotPrime)
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -191,6 +202,7 @@ def _times_packed(values, M, p):
 def field_size(p: int, r: int) -> int:
     """n = p**r, once p is a prime, r >= 1 and n within SIZE_CAP; r is
     checked before p**r is formed, so a huge r is refused at once."""
+    p, r = _integer(p, "p", NotPrime), _integer(r, "r")
     if not is_prime(p):
         raise NotPrime(f"p = {p} is not prime")
     if r < 1:
@@ -228,9 +240,8 @@ class FieldCtx:
     """GF(p**r) with exponent/log/trace tables; build via build_field()."""
 
     def __init__(self, p: int, r: int):
-        self.p = p
-        self.r = r
         self.n = field_size(p, r)
+        self.p, self.r = operator.index(p), operator.index(r)
         self.modulus = self._find_modulus()
         self.ctx_id = f"GF({p}^{r})#{self._poly_value(self.modulus)}"
         self.coeff_dtype = (np.uint8 if p <= 0xFF else

@@ -1,5 +1,6 @@
 """Bounds, character sums, brute-force oracles, and the analyzer."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -392,13 +393,15 @@ def test_blocked_dense_kernels_match_full_gram_oracles():
     # the Gram and frame-operator blocks against the full products: n on
     # both sides of the 128-row block edge, a sign frame without
     # structure, and Gram censuses of two random baselines, each odd-p
-    # frame as its whole complex matrix
+    # frame as its whole complex matrix.  The Hadamard frame's orbit is
+    # dropped, so that the blocks, not its orbit rows, read it
     frames = [(_unit_columns(5, n, n), True)
               for n in (2, 50, 127, 128, 129, 257)]
     frames += [(oracles.complex_oracle_frame(build_field_frame(3, 7, 1093)),
                 False),
                (materialize(build_field_frame(2, 1, 1)), True),
-               (materialize(build_hadamard_frame(8, 51)), True),
+               (dataclasses.replace(materialize(build_hadamard_frame(8, 51)),
+                                    orbit=None), True),
                (oracles.complex_oracle_frame(
                    build_random_exponent_frame(3, 5, 11, seed=4)), True),
                (oracles.complex_oracle_frame(
@@ -433,9 +436,13 @@ def _subgroup_frames(limit, keep):
     return frames
 
 
-def _assert_dense_kernels_match_oracles(cf, full, census=False):
+def _assert_dense_kernels_match_oracles(cf, full, census=False, sums=None):
     # the dense kernels on cf against the full-matrix oracles on the
-    # complex matrix full that cf stands for.  The tightness bound: each
+    # complex matrix full that cf stands for.  An orbit census is read off
+    # the orbit rows, m-fold, while the oracle's cluster means add up every
+    # off-diagonal entry, rounding as they go (1.0e-13 off the character
+    # sums at GF(3^5), m = 22): its values are held to the census sums,
+    # the character-sum census of the same frame.  The tightness bound: each
     # entry of FF* sums n terms whose moduli add up to about n/m (exactly
     # n/m for entries of modulus 1/sqrt(m)); rounded in double, such a
     # sum is off by about sqrt(n) eps times n/m (the probabilistic bound
@@ -458,15 +465,19 @@ def _assert_dense_kernels_match_oracles(cf, full, census=False):
     if census:
         assert [c for _, c in got["distinct_values"]] \
             == [c for _, c in want["distinct_values"]]
+        if cf.orbit is not None:
+            want["distinct_values"] = sums
+            assert [c for _, c in got["distinct_values"]] \
+                == [c for _, c in sums]
         assert max(abs(v - w) for (v, _), (w, _)
                    in zip(got["distinct_values"],
                           want["distinct_values"])) <= 1e-14
 
 
-def _assert_materialized_matches_oracles(frame, census=False):
+def _assert_materialized_matches_oracles(frame, census=False, sums=None):
     cf = materialize(frame)
     _assert_dense_kernels_match_oracles(
-        cf, oracles.complex_oracle_frame(frame), census=census)
+        cf, oracles.complex_oracle_frame(frame), census=census, sums=sums)
     return cf
 
 
@@ -527,7 +538,9 @@ def test_paired_columns_census_on_bare_frames():
                build_random_exponent_frame(5, 3, 62, seed=1)]
     for frame in frames:
         bare = ExponentFrame(p=frame.p, exps=frame.exps, provenance={})
-        cf = _assert_materialized_matches_oracles(bare, census=True)
+        cf = _assert_materialized_matches_oracles(
+            bare, census=True,
+            sums=analyze(frame, brute="off").distinct_values)
         _assert_paired(cf, frame)
     rep = analyze(bare, brute="on")
     assert rep.paths["census_source"] == "gram"
@@ -567,7 +580,9 @@ def test_real_gram_route_census_without_structure():
         for cols in (frame.n_cols, 100):
             bare = ExponentFrame(p=frame.p, exps=frame.exps[:, :cols],
                                  provenance={})
-            cf = _assert_materialized_matches_oracles(bare, census=True)
+            cf = _assert_materialized_matches_oracles(
+                bare, census=True,
+                sums=analyze(frame, brute="off").distinct_values)
             real = frame.p == 2 or cols == frame.n_cols
             assert cf.entries.dtype == (np.float64 if real
                                         else np.complex128)
@@ -651,6 +666,134 @@ def test_tampered_bottom_half_takes_complex_route(block, monkeypatch):
     assert cf.entries.shape == (22, 242) and not cf.paired_columns
 
 
+def _spy_block_kernels(monkeypatch):
+    # the rows argument of every call to the block kernels: None where
+    # they form the blocks of the upper triangle, a count of orbit rows
+    # where they form those alone
+    calls = []
+    for name in ("_upper_blocks", "_paired_blocks"):
+        def spy(a, rows=None, _real=getattr(coherence, name)):
+            calls.append(rows)
+            return _real(a, rows)
+        monkeypatch.setattr(coherence, name, spy)
+    return calls
+
+
+def test_orbit_rows_match_full_matrix_oracles(monkeypatch):
+    # every subgroup frame with n <= 1024 whose cells prove the orbit
+    # symmetry (m >= 4): the Gram rows of columns 0..kappa and row 0 of the
+    # frame operator, in each layout (signs, complex and real paired
+    # columns), against the full-matrix oracles
+    calls = _spy_block_kernels(monkeypatch)
+    frames = _subgroup_frames(1024, lambda p, m: m >= 4)
+    layouts = set()
+    for frame in frames:
+        cf = _assert_materialized_matches_oracles(frame)
+        assert cf.orbit == (frame.n_cols - 1) // frame.m_rows
+        layouts.add((cf.paired_columns, cf.entries.dtype.kind))
+    assert len(frames) > 1600
+    assert layouts == {(False, "f"), (True, "f"), (True, "c")}
+    assert calls and None not in calls
+
+
+def _orbit_breakers(frame):
+    # the frame's cells changed so that they no longer prove the orbit
+    # symmetry, each one kept paired for odd p (column j + h the negation
+    # of column j): one changed cell, two swapped columns, and a changed
+    # cell in column 0
+    p, (m, n) = frame.p, frame.exps.shape
+    h = n // 2 if p != 2 else 0
+    cell, col0 = frame.exps.copy(), frame.exps.copy()
+    cell[1, 5] = (cell[1, 5] + 1) % p
+    if h:
+        cell[1, 5 + h] = (p - cell[1, 5]) % p
+    cols = np.arange(n)
+    cols[[1, 2]] = cols[[2, 1]]
+    if h:
+        cols[[1 + h, 2 + h]] = cols[[2 + h, 1 + h]]
+    col0[m // 2, 0] = 1
+    return cell, frame.exps[:, cols], col0
+
+
+def test_frames_without_the_orbit_take_the_blocked_kernels(monkeypatch):
+    # a changed cell, two swapped columns, a changed column 0, m < 4 and a
+    # random list: the blocked kernels, not the orbit rows, and still the
+    # oracles' values, census included
+    calls = _spy_block_kernels(monkeypatch)
+    frames = [build_field_frame(3, 5, 2), build_hadamard_frame(4, 3),
+              build_random_exponent_frame(3, 5, 22, seed=1),
+              build_random_hadamard_frame(8, 51, seed=1)]
+    cells = [(f, f.p, f.exps) for f in frames]
+    for frame in (build_field_frame(3, 5, 22), build_field_frame(3, 5, 11),
+                  build_hadamard_frame(8, 51)):
+        assert materialize(frame).orbit is not None
+        cells += [(None, frame.p, exps) for exps in _orbit_breakers(frame)]
+    for frame, p, exps in cells:
+        bare = ExponentFrame(p=p, exps=exps, provenance={})
+        cf = _assert_materialized_matches_oracles(bare, census=True)
+        assert cf.orbit is None
+        assert calls and set(calls) == {None}
+        calls.clear()
+        if frame is not None:
+            analyze(frame, brute="on")
+            assert set(calls) == {None}
+            calls.clear()
+
+
+def test_orbit_census_equals_the_whole_gram_census(monkeypatch):
+    # the bare files a caller reads: a sign CSV and an exponent CSV
+    # without its multipliers.  The orbit census clusters (kappa + 1)
+    # (n - 1) values weighted m and 1, and has the same counts as the
+    # census over the whole Gram (the same frame with its orbit dropped);
+    # its values are the character sums'
+    sizes = []
+    real = coherence.cluster_complex
+
+    def spy(values, *args, **kwargs):
+        sizes.append(np.size(values))
+        return real(values, *args, **kwargs)
+
+    monkeypatch.setattr(coherence, "cluster_complex", spy)
+    for frame in (build_hadamard_frame(10, 341), build_field_frame(3, 5, 22),
+                  build_field_frame(3, 5, 11), build_field_frame(5, 3, 31)):
+        bare = ExponentFrame(p=frame.p, exps=frame.exps, provenance={})
+        cf = materialize(bare)
+        kappa, n = cf.orbit, frame.n_cols
+        got = coherence_bruteforce(cf)["distinct_values"]
+        assert sizes == [(kappa + 1) * (n - 1)]
+        whole = coherence_bruteforce(dataclasses.replace(cf, orbit=None))
+        assert sizes[1] == n * (n - 1)
+        sizes.clear()
+        assert [c for _, c in got] \
+            == [c for _, c in whole["distinct_values"]]
+        sums = analyze(frame, brute="off").distinct_values
+        assert [c for _, c in got] == [c for _, c in sums]
+        assert max(abs(v - w) for (v, _), (w, _) in zip(got, sums)) <= 1e-14
+        rep = analyze(bare, brute="on")
+        assert rep.paths["census_source"] == "gram"
+        assert [c for _, c in rep.distinct_values] == [c for _, c in got]
+        sizes.clear()
+
+
+def test_blocked_kernels_at_brute_cap(monkeypatch):
+    # n = BRUTE_CAP = 4096: the subgroup frame takes its orbit rows, and a
+    # random list of as many rows the blocked Gram and frame operator; both
+    # routes within ROUTE_TOL, and the tightness residual at its oracle's
+    calls = _spy_block_kernels(monkeypatch)
+    assert coherence.BRUTE_CAP == 4096
+    subgroup = analyze(build_hadamard_frame(12, 455), brute="on")
+    assert calls and None not in calls
+    calls.clear()
+    frame = build_random_hadamard_frame(12, 455, seed=1)
+    rep = analyze(frame, brute="on")
+    assert calls == [None, None]
+    for r in (subgroup, rep):
+        assert r.paths["mu_gap"] <= 1e-9 and r.paths["nu_gap"] <= 1e-9
+    full = oracles.complex_oracle_frame(frame)
+    assert abs(rep.tightness_residual - oracles.tightness_residual(full)) \
+        <= 64 * np.finfo(np.float64).eps * 4096 / 455
+
+
 def test_cluster_complex_merges_near_values():
     vals = np.array([0.1 + 0.2j, 0.1 + 0.2j + 1e-12, 0.5])
     reps, counts = cluster_complex(vals)
@@ -722,11 +865,17 @@ def test_analyze_skips_gram_census_when_sums_give_it(monkeypatch):
     assert "mu_bruteforce" in rep.paths
     assert max(sizes) == rep.kappa == 2
     sizes.clear()
-    # the same cells without their multipliers take the Gram route
+    # the same cells without their multipliers take the Gram route, on
+    # the orbit rows of columns 0..kappa; with two columns swapped, on the
+    # whole Gram's upper triangle and its conjugates
     bare = ExponentFrame(p=frame.p, exps=frame.exps,
                          provenance=frame.provenance)
     rep = analyze(bare, brute="on")
     assert rep.paths["census_source"] == "gram"
+    assert max(sizes) == 3 * 26
+    sizes.clear()
+    analyze(dataclasses.replace(bare, exps=frame.exps[:, [0, 2, 1, *range(
+        3, 27)]]), brute="on")
     assert max(sizes) == 27 * 26
 
 

@@ -511,6 +511,36 @@ def test_frames_are_frozen():
             setattr(frame, name, value)
 
 
+def test_frames_hold_read_only_arrays(tmp_path, monkeypatch):
+    # a frame's arrays cannot be written to, and a writable array a caller
+    # passes is copied: writing to it afterwards leaves the frame's cells
+    # as they were checked (a changed multiplier exited 4, InvariantViolation,
+    # under brute="auto").  The builders and load_frame hand over their
+    # own arrays, read-only, without a copy
+    f = build_random_exponent_frame(3, 3, 13, seed=4)
+    path = str(tmp_path / "f.csv")
+    save_exponent_csv(f, path)
+    for frame in (f, load_frame(path)):
+        for a in (frame.exps, frame.multiplier_values,
+                  materialize(frame).entries):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
+    exps, mv = f.exps.copy(), f.multiplier_values.copy()
+    g = ExponentFrame(p=3, exps=exps, provenance={}, ctx=f.ctx,
+                      multiplier_values=mv)
+    exps[0, 1] = (exps[0, 1] + 1) % 3
+    mv[0] = (mv[0] + 1) % 27
+    assert np.array_equal(g.exps, f.exps)
+    assert np.array_equal(g.multiplier_values, f.multiplier_values)
+    assert analyze(g, brute="auto").paths["mu_gap"] <= 1e-9
+    built = []
+    monkeypatch.setattr(frames, "_exponent_rows",
+                        lambda *a: built.append(_exponent_rows(*a))
+                        or built[-1])
+    assert build_field_frame(3, 3, 13).exps is built[-1]
+    assert build_random_exponent_frame(3, 3, 13, seed=4).exps is built[-1]
+
+
 @pytest.mark.parametrize("p", [1, 4, 2 ** 40, 3.0])
 def test_frame_refuses_p_not_prime(p):
     # p = 2**40 reached the writers and the dense checks, and ran them out

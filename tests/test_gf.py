@@ -1,5 +1,7 @@
 """Field construction, tables, and element arithmetic."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from groupframes.gf import (
     is_prime,
     prime_factors,
 )
+from groupframes.frames import build_field_frame
 from oracles import add, from_log, inv, log, mul, neg, power, sub, trace
 
 
@@ -257,6 +260,22 @@ def test_construction_errors():
         build_field(3, 0)
     with pytest.raises(DegreeTooLarge):
         build_field(2, 30)
+
+
+def test_field_sizes_take_numpy_integers():
+    # numpy integers are integers: GF(257) from np.int64 builds, with
+    # Python ints in its context and in a frame's provenance; a value that
+    # is not an integer is a typed error, not a TypeError
+    ctx = build_field(np.int64(257), np.int64(1))
+    assert (ctx.n, ctx.p, ctx.r) == (257, 257, 1)
+    assert type(ctx.p) is int and type(ctx.r) is int
+    assert is_prime(np.int64(257)) and not is_prime(np.int64(259))
+    frame = build_field_frame(np.int64(257), 1, 16)
+    assert json.dumps(frame.provenance["p"]) == "257"
+    for p, r, error in ((3.0, 1, NotPrime), ("3", 1, NotPrime),
+                        (3, 2.0, BadShape)):
+        with pytest.raises(error, match="is not an integer"):
+            build_field(p, r)
 
 
 def test_context_mismatch():
