@@ -354,11 +354,13 @@ def _orbit(exps: np.ndarray) -> int | None:
     # kappa = (n-1)/m where column 0 is constant and exps[i, 1 + (c +
     # kappa) mod (n-1)] == exps[(i + 1) mod m, 1 + c] for every cell, as
     # for the rows x -> Tr(g**(kappa i) x) of a subgroup, compared a block
-    # of rows at a time; else None, and for m < 4, where the orbit rows
-    # are no fewer than the blocked kernels' (2 kappa h against h**2)
+    # of rows at a time; else None, and for one column (no orbit) or
+    # m < 4, where the orbit rows are no fewer than the blocked kernels'
+    # (2 kappa h against h**2)
     m, n = exps.shape
     kappa = (n - 1) // m
-    if m < 4 or kappa * m != n - 1 or (exps[:, 0] != exps[0, 0]).any():
+    if (m < 4 or kappa < 1 or kappa * m != n - 1
+            or (exps[:, 0] != exps[0, 0]).any()):
         return None
     e, rows = exps[:, 1:], max(1, _HALVES_BLOCK // n)
     pairs = [(e[i:min(i + rows, m - 1)], e[i + 1:i + 1 + rows])

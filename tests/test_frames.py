@@ -457,6 +457,18 @@ def test_materialize_refuses_cells_past_p():
         materialize(ExponentFrame(p=3, exps=exps, provenance={}))
 
 
+def test_materialize_one_column_has_no_orbit():
+    # n - 1 = 0 columns past column 0: kappa = 0 * m is no orbit, and the
+    # frame materializes for the Gram oracle to refuse, as a frame of one
+    # column with fewer rows does
+    for m in (2, 4, 5):
+        cf = materialize(ExponentFrame(p=2, exps=np.zeros((m, 1), np.uint8),
+                                       provenance={}))
+        assert cf.orbit is None and cf.n_cols == 1
+        with pytest.raises(BadShape, match="at least two columns"):
+            coherence_bruteforce(cf)
+
+
 @pytest.mark.parametrize("shape", [(27,), (1, 1, 27)])
 def test_frame_refuses_exps_not_two_dimensional(shape):
     with pytest.raises(BadShape, match="2-D integer"):

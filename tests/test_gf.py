@@ -12,6 +12,7 @@ from groupframes.errors import (
     InvariantViolation,
     NotPrime,
 )
+from groupframes.frames import build_field_frame
 from groupframes.gf import (
     _check_bijection,
     _ppowmod,
@@ -20,7 +21,6 @@ from groupframes.gf import (
     is_prime,
     prime_factors,
 )
-from groupframes.frames import build_field_frame
 from oracles import add, from_log, inv, log, mul, neg, power, sub, trace
 
 
